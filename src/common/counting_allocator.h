@@ -26,9 +26,29 @@ inline uint64_t AllocationCount() {
 }  // namespace counting_allocator
 }  // namespace torbase
 
+namespace torbase {
+namespace counting_allocator {
+
+// Every replaced allocation form funnels through these two, so each form
+// counts once and pairs malloc/aligned_alloc with the free() in the deletes.
+inline void* CountedAlloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+inline void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  // aligned_alloc requires size to be a multiple of the alignment.
+  const std::size_t alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded);
+}
+
+}  // namespace counting_allocator
+}  // namespace torbase
+
 void* operator new(std::size_t size) {
-  torbase::counting_allocator::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
+  if (void* p = torbase::counting_allocator::CountedAlloc(size)) {
     return p;
   }
   throw std::bad_alloc();
@@ -43,11 +63,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 // Over-aligned forms count too: InlineFunction routes over-aligned captures to
 // the heap via aligned new, which must not be invisible to the guard.
 void* operator new(std::size_t size, std::align_val_t align) {
-  torbase::counting_allocator::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  // aligned_alloc requires size to be a multiple of the alignment.
-  const std::size_t alignment = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  if (void* p = std::aligned_alloc(alignment, rounded)) {
+  if (void* p = torbase::counting_allocator::CountedAlignedAlloc(size, align)) {
     return p;
   }
   throw std::bad_alloc();
@@ -61,5 +77,28 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+// Non-throwing forms (the standard library's temporary buffers use them).
+// Without these the runtime's own nothrow new would hand out memory that the
+// replaced deletes above free() — an allocator mismatch under ASan — and the
+// allocations would go uncounted.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return torbase::counting_allocator::CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return torbase::counting_allocator::CountedAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return torbase::counting_allocator::CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return torbase::counting_allocator::CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 #endif  // SRC_COMMON_COUNTING_ALLOCATOR_H_

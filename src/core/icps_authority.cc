@@ -18,38 +18,35 @@ constexpr const char* kKindConsensusSig = "CONSENSUS_SIG";
 
 IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
                              std::shared_ptr<const tordir::VoteDocument> own_vote,
-                             std::shared_ptr<const std::string> own_vote_text,
+                             torcrypto::Body own_vote_body,
                              std::shared_ptr<const tordir::VoteCache> vote_cache,
-                             std::shared_ptr<const std::string> second_vote_text,
+                             torcrypto::Body second_vote_body,
                              std::shared_ptr<const torproto::AuthorityRoundState> round_state)
     : config_(config),
       directory_(directory),
       signer_(directory->SignerFor(own_vote->authority)),
       own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
+      own_vote_body_(std::move(own_vote_body)),
       vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
+      second_vote_body_(std::move(second_vote_body)),
       round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
+  if (!own_vote_body_.has_value()) {
+    own_vote_body_ = torcrypto::Body(tordir::SerializeVote(*own_vote_));
   }
-  own_digest_ = torcrypto::Digest256::Of(*own_vote_text_);
 }
 
 IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
                              tordir::VoteDocument own_vote, std::string own_vote_text)
     : IcpsAuthority(config, directory,
                     std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                    own_vote_text.empty()
-                        ? nullptr
-                        : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+                    own_vote_text.empty() ? torcrypto::Body()
+                                          : torcrypto::Body(std::move(own_vote_text))) {}
 
 void IcpsAuthority::Start() {
   // Self-delivery of our own document.
   ReceivedDoc own;
-  own.digest = own_digest_;
-  own.text = own_vote_text_;
-  own.sender_sig = signer_.Sign(EntryPayload(id(), own_digest_));
+  own.body = own_vote_body_;
+  own.sender_sig = signer_.Sign(EntryPayload(id(), own_vote_body_.digest()));
   documents_.emplace(id(), std::move(own));
 
   BroadcastDocument();
@@ -73,44 +70,36 @@ void IcpsAuthority::Start() {
 }
 
 void IcpsAuthority::BroadcastDocument() {
-  log().Notice(now(), "Disseminating vote document (" + std::to_string(own_vote_text_->size()) +
+  log().Notice(now(), "Disseminating vote document (" + std::to_string(own_vote_body_.size()) +
                           " bytes).");
-  if (second_vote_text_ != nullptr) {
+  // A document message is a header {type, digest, sender signature} plus the
+  // document as one body.
+  const auto document = [](const torcrypto::Body& body, const torcrypto::Signature& sig) {
+    torbase::Writer w;
+    w.WriteU8(kDocument);
+    w.WriteRaw(body.digest().span());
+    w.WriteU32(sig.signer);
+    w.WriteRaw(sig.bytes);
+    return torsim::Message(w.TakeBuffer(), {body});
+  };
+  const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
+  if (second_vote_body_.has_value()) {
     // Equivocation: odd peers get a second, correctly signed document. Each
     // peer's direct copy verifies in isolation; the split only surfaces in
     // the PROPOSAL cross-check (possibly forcing a ⟂ entry) and in the
     // health monitor's per-peer digest comparison.
-    const torcrypto::Digest256 second_digest = torcrypto::Digest256::Of(*second_vote_text_);
-    const torcrypto::Signature second_sig = signer_.Sign(EntryPayload(id(), second_digest));
-    const torcrypto::Signature own_sig = documents_.at(id()).sender_sig;
+    const torcrypto::Signature second_sig =
+        signer_.Sign(EntryPayload(id(), second_vote_body_.digest()));
     for (torbase::NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
+      if (peer != id()) {
+        SendTo(peer, kKindDocument,
+               peer % 2 == 1 ? document(second_vote_body_, second_sig)
+                             : document(own_vote_body_, own_sig));
       }
-      const bool alternate = peer % 2 == 1;
-      const std::string& text = alternate ? *second_vote_text_ : *own_vote_text_;
-      const torcrypto::Digest256& digest = alternate ? second_digest : own_digest_;
-      const torcrypto::Signature& sig = alternate ? second_sig : own_sig;
-      torbase::Writer w;
-      w.Reserve(text.size() + 128);
-      w.WriteU8(kDocument);
-      w.WriteString(text);
-      w.WriteRaw(digest.span());
-      w.WriteU32(sig.signer);
-      w.WriteRaw(sig.bytes);
-      SendTo(peer, kKindDocument, w.TakeBuffer());
     }
     return;
   }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 128);
-  w.WriteU8(kDocument);
-  w.WriteString(*own_vote_text_);
-  w.WriteRaw(own_digest_.span());
-  const torcrypto::Signature sig = documents_.at(id()).sender_sig;
-  w.WriteU32(sig.signer);
-  w.WriteRaw(sig.bytes);
-  SendToAllOthers(kKindDocument, w.buffer());
+  SendToAllOthers(kKindDocument, document(own_vote_body_, own_sig));
 }
 
 void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payload) {
@@ -149,14 +138,14 @@ void IcpsAuthority::OnMessage(torbase::NodeId from, const torbase::Bytes& payloa
 }
 
 void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
-  auto text = r.ReadString();
   auto digest_raw = r.ReadRaw(torcrypto::kSha256DigestSize);
   auto signer = r.ReadU32();
   auto sig_raw = r.ReadRaw(64);
-  if (!text.ok() || !digest_raw.ok() || !signer.ok() || !sig_raw.ok()) {
+  if (!digest_raw.ok() || !signer.ok() || !sig_raw.ok() || bodies().size() != 1) {
     return;
   }
-  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(*text);
+  const torcrypto::Body& body = bodies()[0];
+  const torcrypto::Digest256& digest = body.digest();
   std::array<uint8_t, torcrypto::kSha256DigestSize> claimed;
   std::copy(digest_raw->begin(), digest_raw->end(), claimed.begin());
   if (digest != torcrypto::Digest256(claimed)) {
@@ -172,8 +161,7 @@ void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
   }
   // Admission: the sender signed these exact bytes, so all reject reasons are
   // attributable to `from` directly.
-  tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, digest, own_vote_->valid_after);
+  tordir::VoteAdmission admission = tordir::AdmitVote(vote_cache_, body, own_vote_->valid_after);
   if (!admission.status.ok()) {
     log().Warn(now(), "Rejecting document from " + std::to_string(from) + ": " +
                           admission.status.ToString());
@@ -181,35 +169,24 @@ void IcpsAuthority::HandleDocument(torbase::NodeId from, torbase::Reader& r) {
     return;
   }
   observed_votes_.push_back(torproto::ObservedVote{from, digest, now(), admission.document});
-  StoreDocument(from, std::move(admission.text), digest, sig);
+  StoreDocument(from, std::move(admission.body), sig);
 }
 
-std::shared_ptr<const std::string> IcpsAuthority::ShareText(std::string text,
-                                                            const torcrypto::Digest256& digest) {
-  // A digest hit in the workload cache means these bytes are a canonical vote
-  // we can reference instead of retaining a private multi-megabyte copy.
-  if (const tordir::CachedVote* cached = tordir::VoteCache::FindIn(vote_cache_, digest)) {
-    return cached->text;
-  }
-  return std::make_shared<const std::string>(std::move(text));
-}
-
-void IcpsAuthority::StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
-                                  const torcrypto::Digest256& digest,
+void IcpsAuthority::StoreDocument(torbase::NodeId sender, torcrypto::Body body,
                                   const torcrypto::Signature& sender_sig) {
   auto it = documents_.find(sender);
   if (it != documents_.end()) {
-    if (it->second.digest != digest && equivocations_.count(sender) == 0) {
+    if (it->second.body.digest() != body.digest() && equivocations_.count(sender) == 0) {
       // The sender signed two different documents: keep the evidence. The
       // PROPOSAL cross-check in BuildCertifiedVector turns this into a ⟂ entry
       // when different nodes received different versions.
       log().Warn(now(), "Authority " + std::to_string(sender) +
                             " equivocated its vote document.");
-      equivocations_.emplace(sender, ReceivedDoc{digest, std::move(text), sender_sig});
+      equivocations_.emplace(sender, ReceivedDoc{std::move(body), sender_sig});
     }
     return;
   }
-  documents_.emplace(sender, ReceivedDoc{digest, std::move(text), sender_sig});
+  documents_.emplace(sender, ReceivedDoc{std::move(body), sender_sig});
   if (documents_.size() == config_.authority_count &&
       outcome_.documents_complete_at == torbase::kTimeNever) {
     outcome_.documents_complete_at = now();
@@ -253,7 +230,7 @@ Proposal IcpsAuthority::BuildOwnProposal() const {
     ProposalEntry& entry = proposal.entries[j];
     auto it = documents_.find(j);
     if (it != documents_.end()) {
-      entry.digest = it->second.digest;
+      entry.digest = it->second.body.digest();
       entry.sender_sig = it->second.sender_sig;
     }
     entry.proposer_sig = signer_.Sign(EntryPayload(j, entry.digest));
@@ -318,7 +295,7 @@ void IcpsAuthority::RequestMissingDocuments() {
       continue;
     }
     auto it = documents_.find(j);
-    if (it != documents_.end() && it->second.digest == *entry.digest) {
+    if (it != documents_.end() && it->second.body.digest() == *entry.digest) {
       continue;  // already have the agreed version
     }
     pending_fetches_.insert(j);
@@ -352,33 +329,32 @@ void IcpsAuthority::HandleDocRequest(torbase::NodeId from, torbase::Reader& r) {
   }
   std::array<uint8_t, torcrypto::kSha256DigestSize> wanted;
   std::copy(digest_raw->begin(), digest_raw->end(), wanted.begin());
-  if (it->second.digest != torcrypto::Digest256(wanted)) {
+  if (it->second.body.digest() != torcrypto::Digest256(wanted)) {
     return;  // we hold a different version; not useful
   }
+  // Header {type, index, sender signature}; the document rides as a body.
   torbase::Writer w;
-  w.Reserve(it->second.text->size() + 128);
   w.WriteU8(kDocResponse);
   w.WriteU32(*j);
-  w.WriteString(*it->second.text);
   w.WriteU32(it->second.sender_sig.signer);
   w.WriteRaw(it->second.sender_sig.bytes);
-  SendTo(from, kKindDocFetch, w.TakeBuffer());
+  SendTo(from, kKindDocFetch, torsim::Message(w.TakeBuffer(), {it->second.body}));
 }
 
 void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) {
   (void)from;
   auto j = r.ReadU32();
-  auto text = r.ReadString();
   auto signer = r.ReadU32();
   auto sig_raw = r.ReadRaw(64);
-  if (!j.ok() || !text.ok() || !signer.ok() || !sig_raw.ok()) {
+  if (!j.ok() || !signer.ok() || !sig_raw.ok() || bodies().size() != 1) {
     return;
   }
   if (pending_fetches_.count(*j) == 0 || !agreed_vector_.has_value()) {
     return;  // duplicate or unsolicited
   }
   const VectorEntry& entry = agreed_vector_->entries[*j];
-  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(*text);
+  const torcrypto::Body& body = bodies()[0];
+  const torcrypto::Digest256& digest = body.digest();
   if (!entry.digest.has_value() || digest != *entry.digest) {
     return;  // wrong document
   }
@@ -391,8 +367,7 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) 
   // Same admission as the direct dissemination path: a certified-but-faulty
   // document (only possible past the fault tolerance) must still not enter
   // aggregation.
-  tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, digest, own_vote_->valid_after);
+  tordir::VoteAdmission admission = tordir::AdmitVote(vote_cache_, body, own_vote_->valid_after);
   if (!admission.status.ok()) {
     log().Warn(now(), "Rejecting fetched document for " + std::to_string(*j) + ": " +
                           admission.status.ToString());
@@ -400,11 +375,7 @@ void IcpsAuthority::HandleDocResponse(torbase::NodeId from, torbase::Reader& r) 
     return;
   }
   observed_votes_.push_back(torproto::ObservedVote{*j, digest, now(), admission.document});
-  ReceivedDoc doc;
-  doc.digest = digest;
-  doc.text = std::move(admission.text);
-  doc.sender_sig = sig;
-  documents_[*j] = std::move(doc);
+  documents_[*j] = ReceivedDoc{std::move(admission.body), sig};
   pending_fetches_.erase(*j);
   MaybeFinishAggregation();
 }
@@ -429,7 +400,7 @@ void IcpsAuthority::MaybeFinishAggregation() {
     // honest authority's by definition, but a byzantine self's stale/mutated
     // one must not be laundered into the consensus through this spot).
     tordir::VoteAdmission admission =
-        tordir::AdmitVote(vote_cache_, *doc.text, doc.digest, own_vote_->valid_after);
+        tordir::AdmitVote(vote_cache_, doc.body, own_vote_->valid_after);
     if (!admission.status.ok()) {
       log().Err(now(), "Agreed document " + std::to_string(j) + " rejected: " +
                            admission.status.ToString());

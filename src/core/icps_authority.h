@@ -27,6 +27,7 @@
 
 #include "src/consensus/hotstuff.h"
 #include "src/core/digest_vector.h"
+#include "src/crypto/body.h"
 #include "src/protocols/common.h"
 #include "src/sim/actor.h"
 #include "src/tordir/vote.h"
@@ -81,16 +82,17 @@ struct IcpsOutcome {
 class IcpsAuthority : public torsim::Actor {
  public:
   // Shared immutable inputs: the authority's own vote document, its
-  // serialized form (null = serialize here) and the workload's pre-parsed
-  // vote cache (null = parse agreed documents from scratch).
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes (with their own digest and sender
-  // signature) in the dissemination broadcast. Null for honest authorities.
+  // serialized form with its digest (null = serialize and hash here) and the
+  // workload's pre-parsed vote cache (null = parse agreed documents from
+  // scratch). `second_vote_body` enables equivocation (see
+  // AuthorityMaterials): when set, odd peers receive it (with its own digest
+  // and sender signature) in the dissemination broadcast. Null for honest
+  // authorities.
   IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
                 std::shared_ptr<const tordir::VoteDocument> own_vote,
-                std::shared_ptr<const std::string> own_vote_text = nullptr,
+                torcrypto::Body own_vote_body = {},
                 std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                std::shared_ptr<const std::string> second_vote_text = nullptr,
+                torcrypto::Body second_vote_body = {},
                 std::shared_ptr<const torproto::AuthorityRoundState> round_state = nullptr);
 
   // Convenience for tests and drivers that own a plain document.
@@ -165,36 +167,30 @@ class IcpsAuthority : public torsim::Actor {
   void HandleConsensusSig(torbase::NodeId from, torbase::Reader& r);
   void AcceptConsensusSig(const torcrypto::Signature& sig);
 
-  // Returns the canonical shared text for `text` when its digest matches a
-  // workload-cache entry, otherwise wraps the received copy.
-  std::shared_ptr<const std::string> ShareText(std::string text,
-                                               const torcrypto::Digest256& digest);
   // Stores a received document (first version wins; a second, different
   // version is retained as equivocation evidence).
-  void StoreDocument(torbase::NodeId sender, std::shared_ptr<const std::string> text,
-                     const torcrypto::Digest256& digest, const torcrypto::Signature& sender_sig);
+  void StoreDocument(torbase::NodeId sender, torcrypto::Body body,
+                     const torcrypto::Signature& sender_sig);
 
   IcpsConfig config_;
   const torcrypto::KeyDirectory* directory_;
   torcrypto::Signer signer_;
   std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
+  torcrypto::Body own_vote_body_;
   std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
+  torcrypto::Body second_vote_body_;
   std::shared_ptr<const torproto::AuthorityRoundState> round_state_;
-  torcrypto::Digest256 own_digest_;
 
   // Admission evidence, in arrival order.
   std::vector<torproto::ObservedVote> observed_votes_;
   std::vector<torproto::RejectedVote> rejected_votes_;
 
-  // Documents received: sender -> (digest, text). First valid one wins; a
-  // second, different digest from the same sender is kept as equivocation
-  // evidence. Texts are shared with the workload cache whenever the received
-  // bytes match a canonical vote.
+  // Documents received: sender -> (body, sender signature). First valid one
+  // wins; a second, different digest from the same sender is kept as
+  // equivocation evidence. Bodies share the workload's text whenever the
+  // received bytes match a canonical vote.
   struct ReceivedDoc {
-    torcrypto::Digest256 digest;
-    std::shared_ptr<const std::string> text;
+    torcrypto::Body body;
     torcrypto::Signature sender_sig;
   };
   std::map<torbase::NodeId, ReceivedDoc> documents_;

@@ -21,15 +21,17 @@ uint64_t Inflate(uint64_t value, double multiplier) {
 }
 
 std::string HonestText(const AuthorityMaterials& honest) {
-  if (honest.vote_text != nullptr) {
-    return *honest.vote_text;
+  if (honest.vote_body.has_value()) {
+    return honest.vote_body.text();
   }
   return tordir::SerializeVote(*honest.vote);
 }
 
+// Faulty texts are not workload votes, so their bodies hash here, once per
+// authority build — receivers then admit them without hashing again.
 AuthorityMaterials WithDocument(const AuthorityMaterials& honest, tordir::VoteDocument document) {
   AuthorityMaterials faulty;
-  faulty.vote_text = std::make_shared<const std::string>(tordir::SerializeVote(document));
+  faulty.vote_body = torcrypto::Body(tordir::SerializeVote(document));
   faulty.vote = std::make_shared<const tordir::VoteDocument>(std::move(document));
   faulty.vote_cache = honest.vote_cache;
   faulty.round_state = honest.round_state;
@@ -75,8 +77,7 @@ AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
       tordir::VoteDocument variant = *honest.vote;
       variant.fresh_until += 1;
       AuthorityMaterials faulty = honest;
-      faulty.second_vote_text =
-          std::make_shared<const std::string>(tordir::SerializeVote(variant));
+      faulty.second_vote_body = torcrypto::Body(tordir::SerializeVote(variant));
       return faulty;
     }
     case ByzantineBehavior::kReplay: {
@@ -95,8 +96,8 @@ AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
       // authority so concurrent malformed authorities diverge.
       AuthorityMaterials faulty = honest;
       const uint64_t seed = spec.mutation_seed ^ ((id + 1) * 0x9e3779b97f4a7c15ULL);
-      faulty.vote_text = std::make_shared<const std::string>(
-          tordir::MutateWireStructural(HonestText(honest), seed));
+      faulty.vote_body =
+          torcrypto::Body(tordir::MutateWireStructural(HonestText(honest), seed));
       return faulty;
     }
     case ByzantineBehavior::kInflateBandwidth: {

@@ -18,20 +18,20 @@ constexpr const char* kKindSigFetch = "SIG_FETCH";
 CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
                                    const torcrypto::KeyDirectory* directory,
                                    std::shared_ptr<const tordir::VoteDocument> own_vote,
-                                   std::shared_ptr<const std::string> own_vote_text,
+                                   torcrypto::Body own_vote_body,
                                    std::shared_ptr<const tordir::VoteCache> vote_cache,
-                                   std::shared_ptr<const std::string> second_vote_text,
+                                   torcrypto::Body second_vote_body,
                                    std::shared_ptr<const AuthorityRoundState> round_state)
     : config_(config),
       directory_(directory),
       signer_(directory->SignerFor(own_vote->authority)),
       own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
+      own_vote_body_(std::move(own_vote_body)),
       vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
+      second_vote_body_(std::move(second_vote_body)),
       round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
+  if (!own_vote_body_.has_value()) {
+    own_vote_body_ = torcrypto::Body(tordir::SerializeVote(*own_vote_));
   }
 }
 
@@ -40,13 +40,12 @@ CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
                                    tordir::VoteDocument own_vote, std::string own_vote_text)
     : CurrentAuthority(config, directory,
                        std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                       own_vote_text.empty()
-                           ? nullptr
-                           : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+                       own_vote_text.empty() ? torcrypto::Body()
+                                             : torcrypto::Body(std::move(own_vote_text))) {}
 
 void CurrentAuthority::Start() {
   votes_[id()] = own_vote_;
-  vote_texts_[id()] = own_vote_text_;
+  vote_bodies_[id()] = own_vote_body_;
 
   const Duration r = config_.round_length;
   BeginVoteRound();
@@ -58,30 +57,23 @@ void CurrentAuthority::Start() {
 
 void CurrentAuthority::BeginVoteRound() {
   log().Notice(now(), "Time to vote.");
-  if (second_vote_text_ != nullptr) {
+  // A vote post is a header {type, posted_at} plus the vote as one body.
+  torbase::Writer w;
+  w.WriteU8(kVotePost);
+  w.WriteU64(now());  // posted_at
+  if (second_vote_body_.has_value()) {
     // Equivocation: odd peers get the second variant. Each peer still sees a
     // single self-consistent vote; only cross-observer digest comparison (the
     // health monitor) exposes the split.
     for (NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
+      if (peer != id()) {
+        SendTo(peer, kKindVote,
+               torsim::Message(w.buffer(), {peer % 2 == 1 ? second_vote_body_ : own_vote_body_}));
       }
-      const std::string& text = peer % 2 == 1 ? *second_vote_text_ : *own_vote_text_;
-      torbase::Writer w;
-      w.Reserve(text.size() + 32);
-      w.WriteU8(kVotePost);
-      w.WriteU64(now());  // posted_at
-      w.WriteString(text);
-      SendTo(peer, kKindVote, w.TakeBuffer());
     }
     return;
   }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 32);
-  w.WriteU8(kVotePost);
-  w.WriteU64(now());  // posted_at
-  w.WriteString(*own_vote_text_);
-  SendToAllOthers(kKindVote, w.buffer());
+  SendToAllOthers(kKindVote, torsim::Message(w.TakeBuffer(), {own_vote_body_}));
 }
 
 void CurrentAuthority::BeginFetchVotesRound() {
@@ -237,15 +229,14 @@ void CurrentAuthority::OnMessage(NodeId from, const torbase::Bytes& payload) {
 
 void CurrentAuthority::HandleVotePost(NodeId from, torbase::Reader& reader) {
   auto posted_at = reader.ReadU64();
-  auto text = reader.ReadString();
-  if (!posted_at.ok() || !text.ok()) {
+  if (!posted_at.ok() || bodies().size() != 1) {
     return;
   }
   if (now() > *posted_at + config_.dir_request_deadline) {
     log().Info(now(), "Discarding stale vote transfer from " + AuthorityAddress(from));
     return;
   }
-  AcceptVote(from, *text);
+  AcceptVote(from, bodies()[0]);
 }
 
 void CurrentAuthority::HandleVoteRequest(NodeId from, torbase::Reader& reader) {
@@ -254,33 +245,26 @@ void CurrentAuthority::HandleVoteRequest(NodeId from, torbase::Reader& reader) {
   if (!request_time.ok() || !count.ok()) {
     return;
   }
-  std::vector<const std::string*> served;
+  std::vector<torcrypto::Body> served;
   for (uint32_t i = 0; i < *count; ++i) {
     auto wanted = reader.ReadU32();
     if (!wanted.ok()) {
       return;
     }
-    auto it = vote_texts_.find(*wanted);
-    if (it != vote_texts_.end()) {
-      served.push_back(it->second.get());
+    auto it = vote_bodies_.find(*wanted);
+    if (it != vote_bodies_.end()) {
+      served.push_back(it->second);
     }
   }
   if (served.empty()) {
     return;
   }
-  size_t payload_bytes = 32;
-  for (const std::string* text : served) {
-    payload_bytes += text->size() + 4;
-  }
+  // Header {type, request_time, count}; the served votes ride as bodies.
   torbase::Writer w;
-  w.Reserve(payload_bytes);
   w.WriteU8(kVoteResponse);
   w.WriteU64(*request_time);
   w.WriteU32(static_cast<uint32_t>(served.size()));
-  for (const std::string* text : served) {
-    w.WriteString(*text);
-  }
-  SendTo(from, kKindVoteFetch, w.TakeBuffer());
+  SendTo(from, kKindVoteFetch, torsim::Message(w.TakeBuffer(), std::move(served)));
 }
 
 void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
@@ -290,26 +274,27 @@ void CurrentAuthority::HandleVoteResponse(NodeId, torbase::Reader& reader) {
     return;
   }
   const bool on_time = now() <= *request_time + config_.dir_request_deadline;
+  const std::span<const torcrypto::Body> votes = bodies();
   for (uint32_t i = 0; i < *count; ++i) {
-    auto text = reader.ReadString();
-    if (!text.ok()) {
+    if (i >= votes.size()) {
       return;
     }
     if (on_time) {
-      // Relayed text: the wire sender is an honest middleman, not the author,
+      // Relayed vote: the wire sender is an honest middleman, not the author,
       // so malformed bytes are unattributable here.
-      AcceptVote(std::nullopt, *text);
+      AcceptVote(std::nullopt, votes[i]);
     }
   }
 }
 
-void CurrentAuthority::AcceptVote(std::optional<NodeId> direct_from, const std::string& text) {
-  // Admission hashes first: a digest hit in the workload cache proves the
-  // bytes are a canonical vote we already hold parsed, so ParseVote (and a
-  // private copy of the multi-megabyte text) is skipped entirely. Misses are
-  // parsed, canonicality-checked and validity-window-checked.
+void CurrentAuthority::AcceptVote(std::optional<NodeId> direct_from, const torcrypto::Body& body) {
+  // Admission looks the body's digest up first: a hit in the workload cache
+  // proves the bytes are a canonical vote we already hold parsed, so
+  // ParseVote is skipped entirely. Misses are parsed, canonicality-checked
+  // and validity-window-checked. The received bytes are never copied or
+  // re-hashed.
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, text, own_vote_->valid_after);
+      tordir::AdmitVote(vote_cache_, body, own_vote_->valid_after);
   if (!admission.status.ok()) {
     log().Warn(now(), "Rejecting unparseable vote: " + admission.status.ToString());
     // Stale votes are canonical, so their own author line attributes them;
@@ -328,10 +313,10 @@ void CurrentAuthority::AcceptVote(std::optional<NodeId> direct_from, const std::
   }
   if (authority != id()) {
     observed_votes_.push_back(
-        ObservedVote{authority, admission.digest, now(), admission.document});
+        ObservedVote{authority, admission.body.digest(), now(), admission.document});
   }
   votes_.emplace(authority, std::move(admission.document));
-  vote_texts_.emplace(authority, std::move(admission.text));
+  vote_bodies_.emplace(authority, std::move(admission.body));
   outstanding_vote_fetches_.erase(authority);
   MaybeRecordVoteCompletion();
 }

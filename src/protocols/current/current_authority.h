@@ -23,6 +23,7 @@
 #include <string>
 
 #include "src/common/serialize.h"
+#include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
@@ -35,20 +36,20 @@ class CurrentAuthority : public torsim::Actor {
  public:
   // `directory` must outlive the actor. The authority signs with the key for
   // its node id. All shared inputs are immutable: `own_vote` is the
-  // authority's vote document, `own_vote_text` its serialized form (null =
-  // serialize here) and `vote_cache` the workload's digest-keyed pre-parsed
-  // votes (null = parse received votes from scratch). The scenario runner
-  // shares one set of documents across every cell and run.
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes in the vote round instead of
-  // `own_vote_text`. Null for honest authorities. `round_state` is the
-  // multi-round restore seam (AuthorityMaterials::round_state): retained and
-  // echoed by SnapshotAuthority, never part of the protocol exchange.
+  // authority's vote document, `own_vote_body` its serialized form with its
+  // digest (null = serialize and hash here) and `vote_cache` the workload's
+  // digest-keyed pre-parsed votes (null = parse received votes from
+  // scratch). The scenario runner shares one set of documents across every
+  // cell and run. `second_vote_body` enables equivocation (see
+  // AuthorityMaterials): when set, odd peers receive it in the vote round
+  // instead of `own_vote_body`. Null for honest authorities. `round_state` is
+  // the multi-round restore seam (AuthorityMaterials::round_state): retained
+  // and echoed by SnapshotAuthority, never part of the protocol exchange.
   CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
                    std::shared_ptr<const tordir::VoteDocument> own_vote,
-                   std::shared_ptr<const std::string> own_vote_text = nullptr,
+                   torcrypto::Body own_vote_body = {},
                    std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                   std::shared_ptr<const std::string> second_vote_text = nullptr,
+                   torcrypto::Body second_vote_body = {},
                    std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
 
   // Convenience for tests and drivers that own a plain document.
@@ -110,11 +111,11 @@ class CurrentAuthority : public torsim::Actor {
   void HandleSigRequest(NodeId from, torbase::Reader& reader);
   void HandleSigResponse(NodeId from, torbase::Reader& reader);
 
-  // Runs `text` through vote admission (src/tordir/admission.h) and stores it
-  // if admitted, new and in range. `direct_from` is the wire sender when the
-  // text arrived as a direct post (malformed bytes are attributed to it);
-  // nullopt for relayed fetch responses.
-  void AcceptVote(std::optional<NodeId> direct_from, const std::string& text);
+  // Runs a received vote body through admission (src/tordir/admission.h) and
+  // stores it if admitted, new and in range. `direct_from` is the wire sender
+  // when the body arrived as a direct post (malformed bytes are attributed to
+  // it); nullopt for relayed fetch responses.
+  void AcceptVote(std::optional<NodeId> direct_from, const torcrypto::Body& body);
   void AcceptSignature(const torcrypto::Signature& sig);
   void MaybeRecordVoteCompletion();
 
@@ -122,21 +123,21 @@ class CurrentAuthority : public torsim::Actor {
   const torcrypto::KeyDirectory* directory_;
   torcrypto::Signer signer_;
   std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
+  torcrypto::Body own_vote_body_;
   std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
+  torcrypto::Body second_vote_body_;
   std::shared_ptr<const AuthorityRoundState> round_state_;
 
   // Admission evidence, in arrival order.
   std::vector<ObservedVote> observed_votes_;
   std::vector<RejectedVote> rejected_votes_;
 
-  // Votes received (and their serialized form, for re-serving fetches). The
-  // documents are shared with the workload cache whenever the received bytes
-  // match a canonical vote, so holding "a copy" of every vote costs pointers,
-  // not megabytes.
+  // Votes received (and their bodies, re-served to fetches as they arrived).
+  // The documents are shared with the workload cache whenever the received
+  // bytes match a canonical vote, so holding "a copy" of every vote costs
+  // pointers, not megabytes.
   std::map<NodeId, std::shared_ptr<const tordir::VoteDocument>> votes_;
-  std::map<NodeId, std::shared_ptr<const std::string>> vote_texts_;
+  std::map<NodeId, torcrypto::Body> vote_bodies_;
 
   // Signatures over our computed consensus digest.
   std::map<NodeId, torcrypto::Signature> signatures_;

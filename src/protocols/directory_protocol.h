@@ -16,6 +16,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/crypto/body.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
 #include "src/sim/actor.h"
@@ -67,21 +68,22 @@ struct PublishedConsensus {
 };
 
 // The immutable inputs an authority actor shares with its workload instead of
-// copying: its own vote document and serialized bytes, plus the workload's
-// digest-keyed cache of every authority's pre-parsed vote. All three are
+// copying: its own vote document and serialized bytes (as a message body, so
+// the digest the workload already computed travels with them), plus the
+// workload's digest-keyed cache of every authority's pre-parsed vote. All are
 // read-only after construction, which is what lets sweep cells on different
-// threads share them (see the threading contract in ROADMAP.md). `vote_text`
-// may be null (serialize on demand); `vote_cache` may be null (parse received
-// votes from scratch, the pre-cache behaviour).
+// threads share them (see the threading contract in ROADMAP.md). `vote_body`
+// may be null (serialize and hash on demand); `vote_cache` may be null (parse
+// received votes from scratch, the pre-cache behaviour).
 struct AuthorityMaterials {
   std::shared_ptr<const tordir::VoteDocument> vote;
-  std::shared_ptr<const std::string> vote_text;
+  torcrypto::Body vote_body;
   std::shared_ptr<const tordir::VoteCache> vote_cache;
-  // When set, the authority *equivocates*: odd-numbered peers receive these
-  // bytes in the initial vote broadcast instead of `vote_text`. Null for
+  // When set, the authority *equivocates*: odd-numbered peers receive this
+  // body in the initial vote broadcast instead of `vote_body`. Null for
   // honest authorities; populated only by the byzantine wrapper layer
   // (src/protocols/byzantine.h).
-  std::shared_ptr<const std::string> second_vote_text;
+  torcrypto::Body second_vote_body;
   // Round-boundary restore seam: the consensus state this authority carried
   // out of a previous round (a crashed authority rejoining with the document
   // it fetched). Null for a cold start. Authorities retain it — it never

@@ -40,8 +40,8 @@ class CurrentProtocol : public DirectoryProtocol {
     ProtocolConfig proto_config;
     proto_config.authority_count = config.authority_count;
     return std::make_unique<CurrentAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
+        proto_config, directory, std::move(materials.vote), std::move(materials.vote_body),
+        std::move(materials.vote_cache), std::move(materials.second_vote_body),
         std::move(materials.round_state));
   }
 
@@ -108,8 +108,8 @@ class SynchronousProtocol : public DirectoryProtocol {
     ProtocolConfig proto_config;
     proto_config.authority_count = config.authority_count;
     return std::make_unique<SyncAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
+        proto_config, directory, std::move(materials.vote), std::move(materials.vote_body),
+        std::move(materials.vote_cache), std::move(materials.second_vote_body),
         std::move(materials.round_state));
   }
 
@@ -177,8 +177,8 @@ class IcpsProtocol : public DirectoryProtocol {
     icps_config.dissemination_timeout = config.dissemination_timeout;
     icps_config.hotstuff.two_phase = config.two_phase_agreement;
     return std::make_unique<toricc::IcpsAuthority>(
-        icps_config, directory, std::move(materials.vote), std::move(materials.vote_text),
-        std::move(materials.vote_cache), std::move(materials.second_vote_text),
+        icps_config, directory, std::move(materials.vote), std::move(materials.vote_body),
+        std::move(materials.vote_cache), std::move(materials.second_vote_body),
         std::move(materials.round_state));
   }
 
@@ -273,7 +273,7 @@ AuthorityMaterials AuthorityMaterials::Own(tordir::VoteDocument vote, std::strin
   AuthorityMaterials materials;
   materials.vote = std::make_shared<const tordir::VoteDocument>(std::move(vote));
   if (!vote_text.empty()) {
-    materials.vote_text = std::make_shared<const std::string>(std::move(vote_text));
+    materials.vote_body = torcrypto::Body(std::move(vote_text));
   }
   return materials;
 }

@@ -18,20 +18,20 @@ constexpr const char* kKindSig = "SYNC_SIG";
 SyncAuthority::SyncAuthority(const ProtocolConfig& config,
                              const torcrypto::KeyDirectory* directory,
                              std::shared_ptr<const tordir::VoteDocument> own_vote,
-                             std::shared_ptr<const std::string> own_vote_text,
+                             torcrypto::Body own_vote_body,
                              std::shared_ptr<const tordir::VoteCache> vote_cache,
-                             std::shared_ptr<const std::string> second_vote_text,
+                             torcrypto::Body second_vote_body,
                              std::shared_ptr<const AuthorityRoundState> round_state)
     : config_(config),
       directory_(directory),
       signer_(directory->SignerFor(own_vote->authority)),
       own_vote_(std::move(own_vote)),
-      own_vote_text_(std::move(own_vote_text)),
+      own_vote_body_(std::move(own_vote_body)),
       vote_cache_(std::move(vote_cache)),
-      second_vote_text_(std::move(second_vote_text)),
+      second_vote_body_(std::move(second_vote_body)),
       round_state_(std::move(round_state)) {
-  if (own_vote_text_ == nullptr) {
-    own_vote_text_ = std::make_shared<const std::string>(tordir::SerializeVote(*own_vote_));
+  if (!own_vote_body_.has_value()) {
+    own_vote_body_ = torcrypto::Body(tordir::SerializeVote(*own_vote_));
   }
 }
 
@@ -40,12 +40,11 @@ SyncAuthority::SyncAuthority(const ProtocolConfig& config,
                              tordir::VoteDocument own_vote, std::string own_vote_text)
     : SyncAuthority(config, directory,
                     std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                    own_vote_text.empty()
-                        ? nullptr
-                        : std::make_shared<const std::string>(std::move(own_vote_text))) {}
+                    own_vote_text.empty() ? torcrypto::Body()
+                                          : torcrypto::Body(std::move(own_vote_text))) {}
 
 void SyncAuthority::Start() {
-  lists_[id()] = own_vote_text_;
+  lists_[id()] = own_vote_body_;
   const Duration r = config_.round_length;
   BeginProposePhase();
   SetTimer(r, [this] { BeginVotePhase(); });
@@ -59,31 +58,23 @@ void SyncAuthority::Start() {
 
 void SyncAuthority::BeginProposePhase() {
   log().Notice(now(), "Propose round: sending relay list.");
-  if (second_vote_text_ != nullptr) {
+  // A propose post is the type byte plus the relay list as one body.
+  const torbase::Bytes header = {kProposePost};
+  if (second_vote_body_.has_value()) {
     // Equivocation: odd peers get the second variant (see CurrentAuthority).
     for (NodeId peer = 0; peer < node_count(); ++peer) {
-      if (peer == id()) {
-        continue;
+      if (peer != id()) {
+        SendTo(peer, kKindPropose,
+               torsim::Message(header, {peer % 2 == 1 ? second_vote_body_ : own_vote_body_}));
       }
-      const std::string& text = peer % 2 == 1 ? *second_vote_text_ : *own_vote_text_;
-      torbase::Writer w;
-      w.Reserve(text.size() + 16);
-      w.WriteU8(kProposePost);
-      w.WriteString(text);
-      SendTo(peer, kKindPropose, w.TakeBuffer());
     }
     return;
   }
-  torbase::Writer w;
-  w.Reserve(own_vote_text_->size() + 16);
-  w.WriteU8(kProposePost);
-  w.WriteString(*own_vote_text_);
-  SendToAllOthers(kKindPropose, w.buffer());
+  SendToAllOthers(kKindPropose, torsim::Message(header, {own_vote_body_}));
 }
 
-void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
-  auto text = r.ReadString();
-  if (!text.ok()) {
+void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader&) {
+  if (bodies().size() != 1) {
     return;
   }
   if (vote_phase_started_) {
@@ -99,7 +90,7 @@ void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
   // canonicality-checked and validity-window-checked before the list may
   // enter a packed vote.
   tordir::VoteAdmission admission =
-      tordir::AdmitVote(vote_cache_, *text, own_vote_->valid_after);
+      tordir::AdmitVote(vote_cache_, bodies()[0], own_vote_->valid_after);
   if (!admission.status.ok()) {
     log().Warn(now(), "Rejecting relay list from " + std::to_string(from) + ": " +
                           admission.status.ToString());
@@ -111,8 +102,9 @@ void SyncAuthority::HandleProposePost(NodeId from, torbase::Reader& r) {
                           " claims another author; ignored.");
     return;
   }
-  observed_votes_.push_back(ObservedVote{from, admission.digest, now(), admission.document});
-  lists_[from] = std::move(admission.text);
+  observed_votes_.push_back(
+      ObservedVote{from, admission.body.digest(), now(), admission.document});
+  lists_[from] = std::move(admission.body);
   if (lists_.size() == node_count() &&
       outcome_.all_lists_received_at == torbase::kTimeNever) {
     outcome_.all_lists_received_at = now();
@@ -123,38 +115,42 @@ void SyncAuthority::BeginVotePhase() {
   vote_phase_started_ = true;
   log().Notice(now(), "Vote round: packing " + std::to_string(lists_.size()) +
                           " lists into a vote.");
-  // Serialize the packed vote: every list we received, tagged by author. The
-  // packer's identity is part of the document (real packed votes are signed by
-  // their author), so two authorities' packed votes never collide.
-  size_t packed_bytes = 16;
-  for (const auto& [author, text] : lists_) {
-    packed_bytes += text->size() + 8;
+  // The packed vote: every list we received, tagged by author. The packer's
+  // identity is part of the document (real packed votes are signed by their
+  // author), so two authorities' packed votes never collide. It travels as a
+  // header {type, author, packed length, packer, count, author tags} plus
+  // the lists as bodies — on the wire exactly the size of the legacy flat
+  // serialization (u32 packer, u32 count, then u32 author + length-prefixed
+  // list per entry) framed as one string after {type, author}.
+  PackedVote packed;
+  packed.packer = id();
+  uint64_t packed_bytes = 8;
+  for (const auto& [author, list] : lists_) {
+    packed.authors.push_back(author);
+    packed.lists.push_back(list);
+    packed_bytes += 4 + list.wire_size();
   }
-  torbase::Writer packed;
-  packed.Reserve(packed_bytes);
-  packed.WriteU32(id());
-  packed.WriteU32(static_cast<uint32_t>(lists_.size()));
-  for (const auto& [author, text] : lists_) {
-    packed.WriteU32(author);
-    packed.WriteString(*text);
-  }
-  const std::string packed_text = torbase::StringOfBytes(packed.buffer());
-  const auto digest = torcrypto::Digest256::Of(packed_text);
-  packed_votes_[id()] = packed_text;
-  packed_by_digest_[digest] = id();
-
   torbase::Writer w;
-  w.Reserve(packed_text.size() + 16);
   w.WriteU8(kPackedVote);
   w.WriteU32(id());
-  w.WriteString(packed_text);
-  SendToAllOthers(kKindPacked, w.buffer());
+  w.WriteU32(static_cast<uint32_t>(packed_bytes));
+  w.WriteU32(packed.packer);
+  w.WriteU32(static_cast<uint32_t>(packed.authors.size()));
+  for (NodeId author : packed.authors) {
+    w.WriteU32(author);
+  }
+  torsim::Message message(w.TakeBuffer(), packed.lists);
+  packed_votes_[id()] = std::move(packed);
+  SendToAllOthers(kKindPacked, std::move(message));
 }
 
 void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   auto author = r.ReadU32();
-  auto text = r.ReadString();
-  if (!author.ok() || !text.ok() || *author != from) {
+  auto packed_bytes = r.ReadU32();
+  auto packer = r.ReadU32();
+  auto count = r.ReadU32();
+  if (!author.ok() || !packed_bytes.ok() || !packer.ok() || !count.ok() || *author != from ||
+      *count != bodies().size()) {
     return;
   }
   if (ds_started_) {
@@ -165,13 +161,51 @@ void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   if (packed_votes_.count(from) > 0) {
     return;
   }
-  const auto digest = torcrypto::Digest256::Of(*text);
-  packed_votes_[from] = std::move(*text);
-  packed_by_digest_[digest] = from;
+  PackedVote packed;
+  packed.packer = *packer;
+  uint64_t framed_bytes = 8;
+  for (const torcrypto::Body& list : bodies()) {
+    auto tag = r.ReadU32();
+    if (!tag.ok()) {
+      return;
+    }
+    packed.authors.push_back(*tag);
+    packed.lists.push_back(list);
+    framed_bytes += 4 + list.wire_size();
+  }
+  if (framed_bytes != *packed_bytes) {
+    return;  // the declared length must match the lists it frames
+  }
+  packed_votes_[from] = std::move(packed);
   if (packed_votes_.size() == node_count() &&
       outcome_.all_packed_received_at == torbase::kTimeNever) {
     outcome_.all_packed_received_at = now();
   }
+}
+
+torcrypto::Digest256 SyncAuthority::PackedVoteDigest(uint32_t packer,
+                                                     std::span<const NodeId> authors,
+                                                     std::span<const torcrypto::Body> lists) {
+  torcrypto::Sha256 sha;
+  torbase::Writer prefix;
+  prefix.WriteU32(packer);
+  prefix.WriteU32(static_cast<uint32_t>(authors.size()));
+  sha.Update(prefix.buffer());
+  for (size_t i = 0; i < authors.size(); ++i) {
+    torbase::Writer frame;
+    frame.WriteU32(authors[i]);
+    frame.WriteU32(static_cast<uint32_t>(lists[i].size()));
+    sha.Update(frame.buffer());
+    sha.Update(lists[i].text());
+  }
+  return torcrypto::Digest256(sha.Finish());
+}
+
+const torcrypto::Digest256& SyncAuthority::DigestOf(PackedVote& packed) {
+  if (!packed.digest.has_value()) {
+    packed.digest = PackedVoteDigest(packed.packer, packed.authors, packed.lists);
+  }
+  return *packed.digest;
 }
 
 torbase::Bytes SyncAuthority::DsPayload(const torcrypto::Digest256& digest) const {
@@ -191,7 +225,7 @@ void SyncAuthority::BeginSynchronizePhase() {
   if (it == packed_votes_.end()) {
     return;
   }
-  const auto digest = torcrypto::Digest256::Of(it->second);
+  const torcrypto::Digest256 digest = DigestOf(it->second);
   extracted_.insert(digest);
   chains_[digest] = {signer_.Sign(DsPayload(digest))};
   relayed_.insert(digest);
@@ -273,31 +307,24 @@ void SyncAuthority::BeginSignaturePhase() {
                           " values; no unique agreed vote.");
     return;
   }
-  const torcrypto::Digest256 digest = *extracted_.begin();
-  auto by_digest = packed_by_digest_.find(digest);
-  if (by_digest == packed_by_digest_.end()) {
+  // Every accepted chain carries the designated sender's signature, and it
+  // signs only its own packed vote's digest: that is the vote agreed on.
+  auto held = packed_votes_.find(kDesignatedSender);
+  if (held == packed_votes_.end() || DigestOf(held->second) != *extracted_.begin()) {
     log().Warn(now(), "Agreed packed vote contents never arrived.");
     return;
   }
+  const PackedVote* agreed = &held->second;
   outcome_.decided = true;
   outcome_.decided_at = now();
 
   // Unpack the agreed vote's lists and aggregate.
-  const std::string& packed_text = packed_votes_.at(by_digest->second);
-  const torbase::Bytes packed_bytes = torbase::BytesOfString(packed_text);
-  torbase::Reader r(packed_bytes);
-  auto packer = r.ReadU32();
-  auto count = r.ReadU32();
-  if (!packer.ok() || !count.ok() || *count > node_count()) {
+  if (agreed->authors.size() > node_count()) {
     return;
   }
   std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto author = r.ReadU32();
-    auto text = r.ReadString();
-    if (!author.ok() || !text.ok()) {
-      return;
-    }
+  for (size_t i = 0; i < agreed->authors.size(); ++i) {
+    const NodeId author = agreed->authors[i];
     // Agreed lists are usually the authorities' canonical vote bytes, so the
     // workload cache spares us the ParseVote. The packed vote may still carry
     // a faulty list — the packer's *own* (everything else it packed already
@@ -306,19 +333,19 @@ void SyncAuthority::BeginSignaturePhase() {
     // attribution here: only the packer itself can smuggle its own bytes in
     // under its own tag.
     tordir::VoteAdmission admission =
-        tordir::AdmitVote(vote_cache_, *text, own_vote_->valid_after);
+        tordir::AdmitVote(vote_cache_, agreed->lists[i], own_vote_->valid_after);
     if (!admission.status.ok()) {
       log().Warn(now(), "Agreed vote carries a rejected list from " +
-                            std::to_string(*author) + ": " + admission.status.ToString());
+                            std::to_string(author) + ": " + admission.status.ToString());
       const NodeId culprit = admission.reason == tordir::VoteRejectReason::kStaleWindow
                                  ? admission.author
-                                 : *author;
+                                 : author;
       if (culprit < node_count()) {
         rejected_votes_.push_back(RejectedVote{culprit, admission.reason, now()});
       }
       continue;
     }
-    if (admission.document->authority == *author) {
+    if (admission.document->authority == author) {
       votes.push_back(std::move(admission.document));
     }
   }

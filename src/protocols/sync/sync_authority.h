@@ -30,9 +30,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/serialize.h"
+#include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
@@ -57,16 +60,16 @@ struct SyncOutcome {
 class SyncAuthority : public torsim::Actor {
  public:
   // Shared immutable inputs: the authority's own vote document, its
-  // serialized form (null = serialize here) and the workload's pre-parsed
-  // vote cache (null = parse agreed lists from scratch).
-  // `second_vote_text` enables equivocation (see AuthorityMaterials): when
-  // set, odd peers receive those bytes in the propose round instead of
-  // `own_vote_text`. Null for honest authorities.
+  // serialized form with its digest (null = serialize and hash here) and the
+  // workload's pre-parsed vote cache (null = parse agreed lists from
+  // scratch). `second_vote_body` enables equivocation (see
+  // AuthorityMaterials): when set, odd peers receive it in the propose round
+  // instead of `own_vote_body`. Null for honest authorities.
   SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
                 std::shared_ptr<const tordir::VoteDocument> own_vote,
-                std::shared_ptr<const std::string> own_vote_text = nullptr,
+                torcrypto::Body own_vote_body = {},
                 std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                std::shared_ptr<const std::string> second_vote_text = nullptr,
+                torcrypto::Body second_vote_body = {},
                 std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
 
   // Convenience for tests and drivers that own a plain document.
@@ -106,6 +109,12 @@ class SyncAuthority : public torsim::Actor {
   const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
   const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
 
+  // The Dolev-Strong digest of a packed vote: SHA-256 streamed over its
+  // legacy flat serialization — u32 packer, u32 count, then per list u32
+  // author, u32 length and the list bytes — without materializing it.
+  static torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
+                                               std::span<const torcrypto::Body> lists);
+
   // The designated Dolev-Strong sender.
   static constexpr NodeId kDesignatedSender = 0;
   // Number of relay rounds: f + 1 with f = majority tolerance of 4.
@@ -134,13 +143,25 @@ class SyncAuthority : public torsim::Actor {
   // The byte string the Dolev-Strong chain signs.
   torbase::Bytes DsPayload(const torcrypto::Digest256& digest) const;
 
+  // A packed vote as a list of author tags and the list bodies they tag —
+  // pointers to the relay lists, never a copy of their bytes.
+  struct PackedVote {
+    uint32_t packer = 0;
+    std::vector<NodeId> authors;
+    std::vector<torcrypto::Body> lists;
+    // PackedVoteDigest, computed on first use: only the designated sender's
+    // packed vote is ever hashed.
+    std::optional<torcrypto::Digest256> digest;
+  };
+  static const torcrypto::Digest256& DigestOf(PackedVote& packed);
+
   ProtocolConfig config_;
   const torcrypto::KeyDirectory* directory_;
   torcrypto::Signer signer_;
   std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  std::shared_ptr<const std::string> own_vote_text_;
+  torcrypto::Body own_vote_body_;
   std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  std::shared_ptr<const std::string> second_vote_text_;
+  torcrypto::Body second_vote_body_;
   std::shared_ptr<const AuthorityRoundState> round_state_;
 
   // Admission evidence, in arrival order.
@@ -149,12 +170,11 @@ class SyncAuthority : public torsim::Actor {
 
   // Phase 1 state: relay lists by author, shared with the workload text when
   // the received bytes match a canonical vote.
-  std::map<NodeId, std::shared_ptr<const std::string>> lists_;
+  std::map<NodeId, torcrypto::Body> lists_;
   bool vote_phase_started_ = false;
 
-  // Phase 2 state: packed votes by author (serialized) and their digests.
-  std::map<NodeId, std::string> packed_votes_;
-  std::map<torcrypto::Digest256, NodeId> packed_by_digest_;
+  // Phase 2 state: packed votes by author.
+  std::map<NodeId, PackedVote> packed_votes_;
   bool ds_started_ = false;
 
   // Phase 3 state: accepted digests (extracted set) and the signature chains

@@ -33,7 +33,7 @@ double NodeRate(const ScenarioSpec& spec, torbase::NodeId node) {
 // alerts. Pure post-run analysis over probe results.
 void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& protocol,
                    const std::vector<torsim::Actor*>& actors,
-                   const std::vector<torcrypto::Digest256>& vote_digests,
+                   const std::vector<torcrypto::Body>& vote_bodies,
                    ScenarioResult& result) {
   tordir::HealthMonitor monitor(spec.authority_count);
   for (const torsim::Actor* actor : actors) {
@@ -43,8 +43,8 @@ void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& 
       // Protocols without admission probes (downstream registrations) fall
       // back to the sender list, paired with the canonical workload digests.
       for (const torbase::NodeId sender : protocol.ProbeVoteSenders(*actor)) {
-        if (sender < vote_digests.size()) {
-          monitor.RecordVote(actor->id(), sender, vote_digests[sender]);
+        if (sender < vote_bodies.size()) {
+          monitor.RecordVote(actor->id(), sender, vote_bodies[sender].digest());
         }
       }
     }
@@ -209,8 +209,9 @@ std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::BuildWorkload(
   std::vector<tordir::VoteDocument> votes =
       tordir::MakeAllVotes(spec.authority_count, workload->population, pop_config);
   workload->votes.reserve(votes.size());
-  workload->vote_texts.reserve(votes.size());
-  workload->vote_digests.reserve(votes.size());
+  workload->vote_bodies.reserve(votes.size());
+  std::vector<std::shared_ptr<const std::string>> texts;
+  texts.reserve(votes.size());
   cache->Reserve(votes.size());
   // Serialize every vote first, then digest them all in one Sha256Batch call:
   // the lanes run lock-step on the hardware core and produce exactly the
@@ -222,13 +223,13 @@ std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::BuildWorkload(
     auto text = std::make_shared<const std::string>(tordir::SerializeVote(*document));
     batch.Add(std::string_view(*text));
     workload->votes.push_back(std::move(document));
-    workload->vote_texts.push_back(std::move(text));
+    texts.push_back(std::move(text));
   }
   const auto digests = batch.Finish();
   for (size_t i = 0; i < digests.size(); ++i) {
     const torcrypto::Digest256 digest(digests[i]);
-    cache->Add(digest, tordir::CachedVote{workload->votes[i], workload->vote_texts[i]});
-    workload->vote_digests.push_back(digest);
+    cache->Add(digest, tordir::CachedVote{workload->votes[i], texts[i]});
+    workload->vote_bodies.emplace_back(std::move(texts[i]), digest);
   }
   cache->Seal();
   workload->vote_cache = std::move(cache);
@@ -381,8 +382,8 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     // the same documents without copying megabytes per authority per run.
     actors.push_back(harness.AddActor(protocol.MakeAuthority(
         run_config, &directory, a,
-        torproto::AuthorityMaterials{workload.votes[a], workload.vote_texts[a],
-                                     workload.vote_cache, nullptr})));
+        torproto::AuthorityMaterials{workload.votes[a], workload.vote_bodies[a],
+                                     workload.vote_cache, {}, nullptr})));
   }
 
   torattack::AttackContext attack_context;
@@ -465,12 +466,12 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   }
 
   if (spec.monitor_health) {
-    AnalyzeHealth(spec, protocol, actors, workload.vote_digests, result);
+    AnalyzeHealth(spec, protocol, actors, workload.vote_bodies, result);
   }
   ComputeFaultMetrics(spec, result);
   if (spec.client_load.client_count > 0) {
     AnalyzeClientLoad(spec, published,
-                      workload.vote_texts.empty() ? 0 : workload.vote_texts[0]->size(), result);
+                      workload.vote_bodies.empty() ? 0 : workload.vote_bodies[0].size(), result);
   }
   // Timeline rounds run without a per-round client plane but still need the
   // actual published document for diff chains and rejoin costing.

@@ -33,6 +33,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/actor.h"
@@ -109,11 +110,11 @@ class ScenarioRunner {
   struct Workload {
     std::vector<tordir::RelayStatus> population;
     std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
-    std::vector<std::shared_ptr<const std::string>> vote_texts;
-    // Digest of each serialized vote, for the consensus-health monitor (the
-    // simulated authorities are honest, so every copy of authority i's vote
-    // matches this digest — hashed once per workload, not once per probe).
-    std::vector<torcrypto::Digest256> vote_digests;
+    // Each serialized vote as a message body, its digest computed once per
+    // workload: authorities send these bodies without re-hashing, and the
+    // consensus-health monitor reads the digests (the simulated authorities
+    // are honest, so every copy of authority i's vote matches its body).
+    std::vector<torcrypto::Body> vote_bodies;
     // Digest-keyed view of the votes above: authorities that receive one of
     // these texts over the wire reuse the parsed document instead of calling
     // ParseVote at run time.

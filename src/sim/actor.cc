@@ -5,12 +5,12 @@
 
 namespace torsim {
 
-void Actor::SendTo(NodeId to, std::string kind, Bytes payload) {
-  net_->Send(id_, to, std::move(kind), std::move(payload));
+void Actor::SendTo(NodeId to, const std::string& kind, Message message) {
+  net_->Send(id_, to, kind, std::move(message));
 }
 
-void Actor::SendToAllOthers(const std::string& kind, const Bytes& payload) {
-  net_->Broadcast(id_, kind, payload);
+void Actor::SendToAllOthers(const std::string& kind, Message message) {
+  net_->Broadcast(id_, kind, std::move(message));
 }
 
 EventId Actor::SetTimer(Duration delay, SimCallback fn) {

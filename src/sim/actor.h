@@ -5,6 +5,7 @@
 #define SRC_SIM_ACTOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,8 @@ class Actor {
 
   // Called once when the simulation starts.
   virtual void Start() {}
-  // Called for every inbound message.
+  // Called for every inbound message with its header; the message's bodies
+  // are readable through bodies() for the length of the call.
   virtual void OnMessage(NodeId from, const Bytes& payload) = 0;
 
   NodeId id() const { return id_; }
@@ -36,9 +38,12 @@ class Actor {
   uint32_t node_count() const { return net_->node_count(); }
 
   // Sends to a single peer.
-  void SendTo(NodeId to, std::string kind, Bytes payload);
-  // Sends to every node except this one.
-  void SendToAllOthers(const std::string& kind, const Bytes& payload);
+  void SendTo(NodeId to, const std::string& kind, Message message);
+  // Sends to every node except this one; all receivers share one message.
+  void SendToAllOthers(const std::string& kind, Message message);
+
+  // The bodies of the message being delivered to OnMessage; empty elsewhere.
+  std::span<const torcrypto::Body> bodies() const { return net_->delivery_bodies(); }
 
   // One-shot timer; returns an id usable with CancelTimer.
   EventId SetTimer(Duration delay, SimCallback fn);

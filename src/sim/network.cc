@@ -55,12 +55,12 @@ void Network::SetHandler(NodeId node, DeliverFn handler) {
   nodes_[node]->handler = std::move(handler);
 }
 
-void Network::Send(NodeId from, NodeId to, std::string kind, Bytes payload) {
-  SendShared(from, to, kind, std::make_shared<const Bytes>(std::move(payload)));
+void Network::Send(NodeId from, NodeId to, const std::string& kind, Message message) {
+  SendShared(from, to, kind, std::make_shared<const Message>(std::move(message)));
 }
 
-void Network::Broadcast(NodeId from, const std::string& kind, Bytes payload) {
-  auto shared = std::make_shared<const Bytes>(std::move(payload));
+void Network::Broadcast(NodeId from, const std::string& kind, Message message) {
+  auto shared = std::make_shared<const Message>(std::move(message));
   for (NodeId peer = 0; peer < node_count(); ++peer) {
     if (peer != from) {
       SendShared(from, peer, kind, shared);
@@ -68,10 +68,29 @@ void Network::Broadcast(NodeId from, const std::string& kind, Bytes payload) {
   }
 }
 
+std::span<const torcrypto::Body> Network::delivery_bodies() const {
+  if (delivering_ == nullptr) {
+    return {};
+  }
+  return delivering_->bodies;
+}
+
+void Network::Deliver(NodeId from, NodeId to, const Message& message) {
+  NodeState& receiver = *nodes_[to];
+  if (receiver.handler) {
+    // Deliveries never nest (every one goes through the event queue), so
+    // a single slot suffices.
+    assert(delivering_ == nullptr);
+    delivering_ = &message;
+    receiver.handler(from, message.header);
+    delivering_ = nullptr;
+  }
+}
+
 void Network::SendShared(NodeId from, NodeId to, const std::string& kind,
-                         std::shared_ptr<const Bytes> payload) {
+                         std::shared_ptr<const Message> message) {
   assert(from < node_count() && to < node_count());
-  const uint64_t wire_bytes = payload->size() + config_.per_message_overhead_bytes;
+  const uint64_t wire_bytes = message->size() + config_.per_message_overhead_bytes;
 
   NodeState& sender = *nodes_[from];
   sender.counters.messages_sent += 1;
@@ -81,12 +100,9 @@ void Network::SendShared(NodeId from, NodeId to, const std::string& kind,
   if (from == to) {
     // Local delivery: skip the NIC model entirely but still go through the
     // event queue so handlers never reenter.
-    sim_->ScheduleAfter(0, [this, from, to, payload = std::move(payload)]() {
-      NodeState& receiver = *nodes_[to];
-      receiver.counters.messages_received += 1;
-      if (receiver.handler) {
-        receiver.handler(from, *payload);
-      }
+    sim_->ScheduleAfter(0, [this, from, to, message = std::move(message)]() {
+      nodes_[to]->counters.messages_received += 1;
+      Deliver(from, to, *message);
     });
     return;
   }
@@ -95,23 +111,21 @@ void Network::SendShared(NodeId from, NodeId to, const std::string& kind,
   const Duration hop_latency = latency(from, to);
 
   // Stage 1: egress. On completion, propagate, then stage 2: ingress, then
-  // deliver. The shared payload rides along the chain of callbacks; captures
-  // are flattened per stage (rather than nesting the previous closure) so
-  // every stage fits its callback's inline buffer.
+  // deliver. The shared message rides along the chain of callbacks as one
+  // pointer; captures are flattened per stage (rather than nesting the
+  // previous closure) so every stage fits its callback's inline buffer.
   sender.egress.StartTransfer(
       bits,
-      [this, from, to, bits, wire_bytes, hop_latency, payload = std::move(payload)]() mutable {
+      [this, from, to, bits, wire_bytes, hop_latency, message = std::move(message)]() mutable {
         sim_->ScheduleAfter(
             hop_latency,
-            [this, from, to, bits, wire_bytes, payload = std::move(payload)]() mutable {
+            [this, from, to, bits, wire_bytes, message = std::move(message)]() mutable {
               nodes_[to]->ingress.StartTransfer(
-                  bits, [this, from, to, wire_bytes, payload = std::move(payload)]() {
-                    NodeState& receiver = *nodes_[to];
-                    receiver.counters.messages_received += 1;
-                    receiver.counters.bytes_received += wire_bytes;
-                    if (receiver.handler) {
-                      receiver.handler(from, *payload);
-                    }
+                  bits, [this, from, to, wire_bytes, message = std::move(message)]() {
+                    TrafficCounters& counters = nodes_[to]->counters;
+                    counters.messages_received += 1;
+                    counters.bytes_received += wire_bytes;
+                    Deliver(from, to, *message);
                   });
             });
       });

@@ -21,11 +21,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/ids.h"
+#include "src/crypto/body.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/shared_nic.h"
 #include "src/sim/simulator.h"
@@ -46,6 +48,35 @@ struct NetworkConfig {
   uint32_t per_message_overhead_bytes = 64;
 };
 
+// One message: a small header the receiver's handler parses, plus zero or
+// more refcounted immutable bodies (src/crypto/body.h) carrying the large
+// documents. Bodies are never copied per hop or per receiver; the handler
+// reads them through Network::delivery_bodies() (Actor::bodies()). The
+// message's declared size is what a flat serialization would occupy — the
+// header followed by each body framed as a length-prefixed string — so
+// bandwidth and accounting are the same as for that flat buffer.
+struct Message {
+  Bytes header;
+  std::vector<torcrypto::Body> bodies;
+
+  Message() = default;
+  // Header-only messages (signatures, requests, agreement traffic) convert
+  // implicitly, so Bytes payloads send unchanged.
+  Message(Bytes header_bytes)  // NOLINT(google-explicit-constructor)
+      : header(std::move(header_bytes)) {}
+  Message(Bytes header_bytes, std::vector<torcrypto::Body> body_list)
+      : header(std::move(header_bytes)), bodies(std::move(body_list)) {}
+
+  // header + sum over bodies of (4 + body size).
+  uint64_t size() const {
+    uint64_t total = header.size();
+    for (const torcrypto::Body& body : bodies) {
+      total += body.wire_size();
+    }
+    return total;
+  }
+};
+
 // Byte/message counters, kept per node and per message kind.
 struct TrafficCounters {
   uint64_t messages_sent = 0;
@@ -56,7 +87,9 @@ struct TrafficCounters {
 
 class Network {
  public:
-  // Delivery callback: (sender, payload). Runs at the receiver's delivery time.
+  // Delivery callback: (sender, message header). Runs at the receiver's
+  // delivery time; the message's bodies are readable through
+  // delivery_bodies() for the length of the call.
   using DeliverFn = std::function<void(NodeId, const Bytes&)>;
 
   Network(Simulator* sim, const NetworkConfig& config);
@@ -88,15 +121,20 @@ class Network {
   // Registers the handler that receives node `node`'s inbound messages.
   void SetHandler(NodeId node, DeliverFn handler);
 
-  // Queues `payload` from `from` to `to`. `kind` labels the message class for
+  // Queues `message` from `from` to `to`. `kind` labels the message class for
   // accounting (e.g. "VOTE", "DOCUMENT"). Self-sends deliver after a minimal
-  // scheduling hop with no bandwidth cost.
-  void Send(NodeId from, NodeId to, std::string kind, Bytes payload);
+  // scheduling hop with no bandwidth cost, still through the event queue, so
+  // handlers never re-enter.
+  void Send(NodeId from, NodeId to, const std::string& kind, Message message);
 
-  // Sends `payload` to every node except `from`, sharing one underlying buffer
-  // across all copies (bandwidth/accounting behave exactly like n-1 Send
-  // calls; only the memory copies are elided — votes are multi-megabyte).
-  void Broadcast(NodeId from, const std::string& kind, Bytes payload);
+  // Sends `message` to every node except `from`. All n-1 deliveries share one
+  // immutable message (bandwidth and accounting behave exactly like n-1 Send
+  // calls; only the copies are elided).
+  void Broadcast(NodeId from, const std::string& kind, Message message);
+
+  // The bodies of the message whose handler is running; empty outside a
+  // delivery.
+  std::span<const torcrypto::Body> delivery_bodies() const;
 
   // --- accounting ---------------------------------------------------------
   const TrafficCounters& counters(NodeId node) const { return nodes_[node]->counters; }
@@ -108,9 +146,12 @@ class Network {
   void ResetCounters();
 
  private:
-  // Shared-buffer transfer path used by both Send and Broadcast.
+  // The one transfer path behind Send and Broadcast: charges the declared
+  // size and moves the shared message through the NIC stages.
   void SendShared(NodeId from, NodeId to, const std::string& kind,
-                  std::shared_ptr<const Bytes> payload);
+                  std::shared_ptr<const Message> message);
+  // Runs `to`'s handler on `message`, exposing its bodies meanwhile.
+  void Deliver(NodeId from, NodeId to, const Message& message);
 
   struct NodeState {
     SharedNic egress;
@@ -128,6 +169,8 @@ class Network {
   // latencies_[a * n + b]
   std::vector<Duration> latencies_;
   std::map<std::string, uint64_t> bytes_by_kind_;
+  // The message being delivered, while its handler runs.
+  const Message* delivering_ = nullptr;
 };
 
 }  // namespace torsim

@@ -2,7 +2,7 @@
 
 #include <cassert>
 #include <cmath>
-#include <vector>
+#include <iterator>
 
 namespace torsim {
 namespace {
@@ -31,18 +31,26 @@ void SharedNic::Advance() {
   }
   const double share = SharePerFlow(last_update_, now, flows_.size());
   last_update_ = now;
-  std::vector<CompleteFn> completed;
+  // Completions are moved out of flows_ before any fires: a callback may
+  // start a transfer on this NIC (which re-enters Advance as a no-op, since
+  // last_update_ == now) and so must not observe a half-drained list.
   for (auto it = flows_.begin(); it != flows_.end();) {
     it->remaining_bits -= share;
+    auto next = std::next(it);
     if (it->remaining_bits <= kEpsilonBits) {
-      completed.push_back(std::move(it->on_complete));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+      completed_.splice(completed_.end(), flows_, it);
     }
+    it = next;
   }
-  for (auto& fn : completed) {
-    fn();
+  FireCompleted();
+}
+
+void SharedNic::FireCompleted() {
+  while (!completed_.empty()) {
+    Flow& flow = completed_.front();
+    flow.on_complete();
+    flow.on_complete = nullptr;  // release the captures now, not on reuse
+    spare_.splice(spare_.end(), completed_, completed_.begin());
   }
 }
 
@@ -74,12 +82,9 @@ void SharedNic::Reschedule() {
       // Advance() that would drain nothing.
       pending_event_ = sim_->ScheduleAt(t, [this] {
         pending_event_ = kNoEvent;
-        std::list<Flow> done;
-        done.swap(flows_);
+        completed_.splice(completed_.end(), flows_);
         last_update_ = sim_->now();
-        for (auto& flow : done) {
-          flow.on_complete();
-        }
+        FireCompleted();
         Reschedule();
       });
       return;
@@ -114,7 +119,10 @@ void SharedNic::Reschedule() {
   // No completion is ever possible: the schedule ends at rate zero. Drop all
   // flows (their bytes can never arrive) and account them.
   dropped_ += flows_.size();
-  flows_.clear();
+  for (Flow& flow : flows_) {
+    flow.on_complete = nullptr;
+  }
+  spare_.splice(spare_.end(), flows_);
 }
 
 void SharedNic::OnScheduleChanged() {
@@ -127,7 +135,12 @@ void SharedNic::OnScheduleChanged() {
 void SharedNic::StartTransfer(double bits, CompleteFn on_complete) {
   assert(bits >= 0.0);
   Advance();
-  flows_.push_back(Flow{std::max(bits, kEpsilonBits), std::move(on_complete)});
+  if (spare_.empty()) {
+    spare_.emplace_back();
+  }
+  flows_.splice(flows_.end(), spare_, spare_.begin());
+  flows_.back().remaining_bits = std::max(bits, kEpsilonBits);
+  flows_.back().on_complete = std::move(on_complete);
   Reschedule();
 }
 

@@ -49,13 +49,15 @@ class SharedNic {
 
  private:
   struct Flow {
-    double remaining_bits;
+    double remaining_bits = 0.0;
     CompleteFn on_complete;
   };
 
   // Drains all flows for the interval [last_update_, now] and fires
   // completions.
   void Advance();
+  // Fires (in order) and recycles everything in completed_.
+  void FireCompleted();
   // Computes the next completion-or-boundary wakeup and schedules it.
   void Reschedule();
   // Per-flow capacity available over [from, to) with `k` concurrent flows.
@@ -64,6 +66,12 @@ class SharedNic {
   Simulator* sim_;
   BandwidthSchedule schedule_;
   std::list<Flow> flows_;
+  // List nodes are recycled rather than freed: completions splice into
+  // `completed_` (in flow order, so callbacks fire in that order), fire, and
+  // splice into `spare_`, which StartTransfer reuses. After warm-up a
+  // transfer allocates nothing.
+  std::list<Flow> completed_;
+  std::list<Flow> spare_;
   TimePoint last_update_ = 0;
   EventId pending_event_ = kNoEvent;
   uint64_t dropped_ = 0;

@@ -18,19 +18,17 @@ const char* VoteRejectReasonName(VoteRejectReason reason) {
   return "unknown";
 }
 
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
-                        uint64_t period_start) {
-  return AdmitVote(cache, text, torcrypto::Digest256::Of(text), period_start);
-}
+namespace {
 
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
-                        const torcrypto::Digest256& digest, uint64_t period_start) {
+// The checks both overloads share. On admission `body` is left for the
+// caller to fill, except on a cache hit, which shares the canonical text.
+VoteAdmission Admit(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+                    const torcrypto::Digest256& digest, uint64_t period_start) {
   VoteAdmission admission;
-  admission.digest = digest;
   if (const CachedVote* cached = VoteCache::FindIn(cache, digest)) {
     admission.author = cached->document->authority;
     admission.document = cached->document;
-    admission.text = cached->text;
+    admission.body = torcrypto::Body(cached->text, digest);
     return admission;
   }
 
@@ -65,7 +63,27 @@ VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std
   }
 
   admission.document = std::make_shared<const VoteDocument>(std::move(document));
-  admission.text = std::make_shared<const std::string>(text);
+  return admission;
+}
+
+}  // namespace
+
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
+                        uint64_t period_start) {
+  const torcrypto::Digest256 digest = torcrypto::Digest256::Of(text);
+  VoteAdmission admission = Admit(cache, text, digest, period_start);
+  if (admission.status.ok() && !admission.body.has_value()) {
+    admission.body = torcrypto::Body(std::make_shared<const std::string>(text), digest);
+  }
+  return admission;
+}
+
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache,
+                        const torcrypto::Body& body, uint64_t period_start) {
+  VoteAdmission admission = Admit(cache, body.text(), body.digest(), period_start);
+  if (admission.status.ok() && !admission.body.has_value()) {
+    admission.body = body;
+  }
   return admission;
 }
 

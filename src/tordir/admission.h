@@ -25,6 +25,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/status.h"
+#include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/tordir/vote.h"
 
@@ -48,10 +49,11 @@ struct VoteAdmission {
   // canonical); kNoNode otherwise.
   torbase::NodeId author = torbase::kNoNode;
 
-  // Set when admitted.
+  // Set when admitted: the parsed document and the admitted bytes. On a
+  // cache hit the body shares the workload's canonical text; otherwise it is
+  // the received body itself (or, for a plain string, one private copy).
   std::shared_ptr<const VoteDocument> document;
-  std::shared_ptr<const std::string> text;
-  torcrypto::Digest256 digest;
+  torcrypto::Body body;
 };
 
 // Admits or rejects `text` as seen by a receiver whose current voting period
@@ -60,10 +62,10 @@ struct VoteAdmission {
 VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
                         uint64_t period_start);
 
-// Same, for callers that already hashed the text (saves re-hashing in
-// digest-first protocols like ICPS).
-VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache, const std::string& text,
-                        const torcrypto::Digest256& digest, uint64_t period_start);
+// Same for a received message body: its digest was fixed when the body was
+// made, so admission neither re-hashes nor copies the received bytes.
+VoteAdmission AdmitVote(const std::shared_ptr<const VoteCache>& cache,
+                        const torcrypto::Body& body, uint64_t period_start);
 
 }  // namespace tordir
 

@@ -47,16 +47,14 @@ class EquivocatingDisseminator : public torsim::Actor {
       if (peer == id()) {
         continue;
       }
-      const std::string& text = (peer % 2 == 0) ? text_a : text_b;
-      const auto digest = torcrypto::Digest256::Of(text);
-      const auto sig = signer.Sign(EntryPayload(id(), digest));
+      const torcrypto::Body body((peer % 2 == 0) ? text_a : text_b);
+      const auto sig = signer.Sign(EntryPayload(id(), body.digest()));
       torbase::Writer w;
       w.WriteU8(0x10);  // kDocument
-      w.WriteString(text);
-      w.WriteRaw(digest.span());
+      w.WriteRaw(body.digest().span());
       w.WriteU32(sig.signer);
       w.WriteRaw(sig.bytes);
-      SendTo(peer, "DOCUMENT", w.TakeBuffer());
+      SendTo(peer, "DOCUMENT", torsim::Message(w.TakeBuffer(), {body}));
     }
   }
   void OnMessage(NodeId, const torbase::Bytes&) override {}

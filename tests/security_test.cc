@@ -7,6 +7,9 @@
 //   * The Synchronous protocol's Dolev-Strong round defeats the same attack.
 //   * The ICPS witness-directed document fetch: nodes that never received a
 //     document named by the agreed vector retrieve it from proof witnesses.
+//   * Byzantine vote bodies: a malformed-wire body is refused at admission
+//     exactly as its bytes were before bodies existed, and attributed to its
+//     sender; an equivocation variant is its own body with its own digest.
 //   * Consensus freshness rules and the three-hour availability horizon that
 //     turns hourly consensus failures into a full network outage.
 #include <gtest/gtest.h>
@@ -16,10 +19,13 @@
 
 #include "src/core/digest_vector.h"
 #include "src/core/icps_authority.h"
+#include "src/protocols/byzantine.h"
 #include "src/protocols/common.h"
+#include "src/protocols/directory_protocol.h"
 #include "src/protocols/current/current_authority.h"
 #include "src/protocols/sync/sync_authority.h"
 #include "src/sim/actor.h"
+#include "src/tordir/admission.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
 #include "src/tordir/freshness.h"
@@ -69,8 +75,8 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
       torbase::Writer w;
       w.WriteU8(1);  // kVotePost
       w.WriteU64(now());
-      w.WriteString(peer <= 4 ? text_a : text_b);
-      SendTo(peer, "VOTE", w.TakeBuffer());
+      SendTo(peer, "VOTE",
+             torsim::Message(w.TakeBuffer(), {torcrypto::Body(peer <= 4 ? text_a : text_b)}));
     }
     // Round 3: compute both consensus variants and sign both digests.
     SetTimer(2 * config_.round_length + torbase::Millis(100), [this] { SignBothForks(); });
@@ -83,11 +89,10 @@ class EquivocatingCurrentAuthority : public torsim::Actor {
       return;  // only collect honest votes
     }
     auto posted_at = r.ReadU64();
-    auto text = r.ReadString();
-    if (!posted_at.ok() || !text.ok()) {
+    if (!posted_at.ok() || bodies().size() != 1) {
       return;
     }
-    auto parsed = tordir::ParseVote(*text);
+    auto parsed = tordir::ParseVote(bodies()[0].text());
     if (parsed.ok()) {
       honest_votes_.emplace(from, std::move(*parsed));
     }
@@ -188,10 +193,9 @@ class EquivocatingSyncProposer : public torsim::Actor {
       if (peer == id()) {
         continue;
       }
-      torbase::Writer w;
-      w.WriteU8(1);  // kProposePost
-      w.WriteString(peer % 2 == 0 ? text_a : text_b);
-      SendTo(peer, "SYNC_PROPOSE", w.TakeBuffer());
+      SendTo(peer, "SYNC_PROPOSE",
+             torsim::Message(torbase::Bytes{1},  // kProposePost
+                             {torcrypto::Body(peer % 2 == 0 ? text_a : text_b)}));
     }
   }
   void OnMessage(NodeId, const torbase::Bytes&) override {}
@@ -244,17 +248,16 @@ class SelectiveDisseminator : public torsim::Actor {
       : directory_(directory), vote_(std::move(vote)), recipients_(std::move(recipients)) {}
 
   void Start() override {
-    const std::string text = tordir::SerializeVote(vote_);
-    const auto digest = torcrypto::Digest256::Of(text);
-    const auto sig = directory_->SignerFor(id()).Sign(toricc::EntryPayload(id(), digest));
+    const torcrypto::Body body(tordir::SerializeVote(vote_));
+    const auto sig =
+        directory_->SignerFor(id()).Sign(toricc::EntryPayload(id(), body.digest()));
     for (NodeId peer : recipients_) {
       torbase::Writer w;
       w.WriteU8(0x10);  // kDocument
-      w.WriteString(text);
-      w.WriteRaw(digest.span());
+      w.WriteRaw(body.digest().span());
       w.WriteU32(sig.signer);
       w.WriteRaw(sig.bytes);
-      SendTo(peer, "DOCUMENT", w.TakeBuffer());
+      SendTo(peer, "DOCUMENT", torsim::Message(w.TakeBuffer(), {body}));
     }
   }
   void OnMessage(NodeId, const torbase::Bytes&) override {}
@@ -303,6 +306,145 @@ TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
     digests.insert(tordir::ConsensusDigest(authority->outcome().consensus));
   }
   EXPECT_EQ(digests.size(), 1u);
+}
+
+// --- byzantine vote bodies -----------------------------------------------------
+
+// A 9-authority workload the way the scenario runner builds it: canonical
+// vote bodies whose digests key the shared VoteCache.
+struct BodyWorkload {
+  std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
+  std::vector<torcrypto::Body> bodies;
+  std::shared_ptr<tordir::VoteCache> cache = std::make_shared<tordir::VoteCache>();
+
+  BodyWorkload() {
+    tordir::PopulationConfig config;
+    config.relay_count = 120;
+    config.seed = 17;
+    for (tordir::VoteDocument& vote :
+         tordir::MakeAllVotes(9, tordir::GeneratePopulation(config), config)) {
+      votes.push_back(std::make_shared<const tordir::VoteDocument>(std::move(vote)));
+      bodies.emplace_back(tordir::SerializeVote(*votes.back()));
+      cache->Add(bodies.back().digest(),
+                 tordir::CachedVote{votes.back(), bodies.back().shared_text()});
+    }
+    cache->Seal();
+  }
+
+  torproto::AuthorityMaterials Honest(NodeId id) const {
+    return torproto::AuthorityMaterials{votes[id], bodies[id], cache, {}, nullptr};
+  }
+  uint64_t period_start() const { return votes[0]->valid_after; }
+};
+
+// Runs `protocol` with authority `faulty` built from `faulty_materials` and
+// returns the actors once the round is over.
+std::vector<torsim::Actor*> RunWithFaulty(torsim::Harness& harness,
+                                          const torproto::DirectoryProtocol& protocol,
+                                          const torcrypto::KeyDirectory& directory,
+                                          const BodyWorkload& workload, NodeId faulty,
+                                          const torproto::AuthorityMaterials& faulty_materials) {
+  torproto::ProtocolRunConfig run_config;
+  std::vector<torsim::Actor*> actors;
+  for (NodeId a = 0; a < 9; ++a) {
+    actors.push_back(harness.AddActor(protocol.MakeAuthority(
+        run_config, &directory, a, a == faulty ? faulty_materials : workload.Honest(a))));
+  }
+  harness.RunUntil(torbase::Hours(1));
+  return actors;
+}
+
+torsim::NetworkConfig FastNetwork() {
+  torsim::NetworkConfig config;
+  config.node_count = 9;
+  config.default_bandwidth_bps = 250e6;
+  config.default_latency = torbase::Millis(50);
+  return config;
+}
+
+TEST(SecurityTest, MalformedWireBodyIsRejectedAndAttributedAsBefore) {
+  const BodyWorkload workload;
+  constexpr NodeId kFaulty = 5;
+  torproto::ByzantineSpec spec;
+  spec.behaviors[kFaulty] = torproto::ByzantineBehavior::kMalformedWire;
+  const torproto::AuthorityMaterials faulty = torproto::MakeFaultyMaterials(
+      workload.Honest(kFaulty), torproto::ByzantineBehavior::kMalformedWire, spec, kFaulty);
+  ASSERT_TRUE(faulty.vote_body.has_value());
+  EXPECT_EQ(faulty.vote_body.digest(), torcrypto::Digest256::Of(faulty.vote_body.text()));
+
+  // The body path refuses the mutant exactly as the plain-bytes path does.
+  const tordir::VoteAdmission as_text =
+      tordir::AdmitVote(workload.cache, faulty.vote_body.text(), workload.period_start());
+  const tordir::VoteAdmission as_body =
+      tordir::AdmitVote(workload.cache, faulty.vote_body, workload.period_start());
+  ASSERT_FALSE(as_text.status.ok());
+  EXPECT_EQ(as_body.status.ToString(), as_text.status.ToString());
+  EXPECT_EQ(as_body.reason, as_text.reason);
+  EXPECT_EQ(as_body.author, as_text.author);
+  EXPECT_NE(as_body.reason, tordir::VoteRejectReason::kStaleWindow);
+
+  // In every protocol, each honest receiver of the direct post refuses it
+  // with that reason and pins it on the wire sender, and nobody else.
+  const torcrypto::KeyDirectory directory(42, 9);
+  for (const char* name : {"current", "synchronous", "icps"}) {
+    const torproto::DirectoryProtocol& protocol = torproto::GetProtocol(name);
+    torsim::Harness harness(FastNetwork());
+    const auto actors = RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
+    for (NodeId a = 0; a < 9; ++a) {
+      if (a == kFaulty) {
+        continue;
+      }
+      const auto rejects = protocol.ProbeVoteRejects(*actors[a]);
+      ASSERT_FALSE(rejects.empty()) << name << " authority " << a;
+      for (const torproto::RejectedVote& reject : rejects) {
+        EXPECT_EQ(reject.sender, kFaulty) << name << " authority " << a;
+        EXPECT_EQ(reject.reason, as_text.reason) << name << " authority " << a;
+      }
+    }
+  }
+}
+
+TEST(SecurityTest, EquivocationVariantIsADistinctBody) {
+  const BodyWorkload workload;
+  constexpr NodeId kFaulty = 4;
+  torproto::ByzantineSpec spec;
+  spec.behaviors[kFaulty] = torproto::ByzantineBehavior::kEquivocate;
+  const torproto::AuthorityMaterials faulty = torproto::MakeFaultyMaterials(
+      workload.Honest(kFaulty), torproto::ByzantineBehavior::kEquivocate, spec, kFaulty);
+  const torcrypto::Body& honest = faulty.vote_body;
+  const torcrypto::Body& variant = faulty.second_vote_body;
+  ASSERT_TRUE(variant.has_value());
+  EXPECT_NE(variant.shared_text().get(), honest.shared_text().get());
+  EXPECT_NE(variant.digest(), honest.digest());
+  EXPECT_EQ(variant.digest(), torcrypto::Digest256::Of(variant.text()));
+
+  // The variant is canonical but not a workload vote: admission parses it
+  // and keeps the received body itself rather than a copy.
+  const tordir::VoteAdmission admitted =
+      tordir::AdmitVote(workload.cache, variant, workload.period_start());
+  ASSERT_TRUE(admitted.status.ok());
+  EXPECT_EQ(admitted.body.shared_text().get(), variant.shared_text().get());
+  EXPECT_EQ(admitted.body.digest(), variant.digest());
+
+  // Odd peers observe the variant's digest, even peers the honest one.
+  const torcrypto::KeyDirectory directory(42, 9);
+  const torproto::DirectoryProtocol& protocol = torproto::GetProtocol("current");
+  torsim::Harness harness(FastNetwork());
+  const auto actors = RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
+  for (NodeId a = 0; a < 9; ++a) {
+    if (a == kFaulty) {
+      continue;
+    }
+    bool observed = false;
+    for (const torproto::ObservedVote& vote : protocol.ProbeVoteObservations(*actors[a])) {
+      if (vote.sender == kFaulty) {
+        observed = true;
+        EXPECT_EQ(vote.digest, a % 2 == 1 ? variant.digest() : honest.digest())
+            << "authority " << a;
+      }
+    }
+    EXPECT_TRUE(observed) << "authority " << a;
+  }
 }
 
 // --- freshness / availability ------------------------------------------------

@@ -7,7 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/serialize.h"
 #include "src/common/time.h"
+#include "src/crypto/body.h"
+#include "src/protocols/sync/sync_authority.h"
 #include "src/sim/actor.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/network.h"
@@ -504,6 +507,94 @@ TEST(NetworkTest, SetNodeRateFromCrashesAndRecovers) {
   net.Send(0, 1, "X", Bytes(936, 0));  // 8000 bits
   sim.Run();
   EXPECT_EQ(delivered_at, Seconds(2) + 8000u + 8000u);
+}
+
+// --- message bodies ------------------------------------------------------------
+
+TEST(MessageBodyTest, BodyHashesOnceAndAdoptsKnownDigests) {
+  const torcrypto::Body body(std::string("relay list"));
+  EXPECT_EQ(body.digest(), torcrypto::Digest256::Of("relay list"));
+  EXPECT_EQ(body.size(), 10u);
+  EXPECT_EQ(body.wire_size(), 14u);
+  const torcrypto::Body adopted(body.shared_text(), body.digest());
+  EXPECT_EQ(adopted.shared_text().get(), body.shared_text().get());
+  EXPECT_FALSE(torcrypto::Body().has_value());
+}
+
+TEST(NetworkTest, BodyMessageChargesDeclaredWireSize) {
+  Simulator sim;
+  Network net(&sim, SmallNetConfig(2, BitsPerSecond(1e9), Millis(1)));
+  std::vector<size_t> body_sizes;
+  Bytes header;
+  net.SetHandler(1, [&](NodeId, const Bytes& payload) {
+    header = payload;
+    for (const torcrypto::Body& body : net.delivery_bodies()) {
+      body_sizes.push_back(body.size());
+    }
+  });
+  const torcrypto::Body vote(std::string(1000, 'v'));
+  const torcrypto::Body list(std::string(250, 'l'));
+  net.Send(0, 1, "VOTE", Message(Bytes(9, 1), {vote, list}));
+  sim.Run();
+  // header + sum(4 + body) + overhead: what the flat WriteString framing of
+  // the same texts would have cost.
+  const uint64_t expected = 9 + (4 + 1000) + (4 + 250) + 64;
+  EXPECT_EQ(net.counters(0).bytes_sent, expected);
+  EXPECT_EQ(net.counters(1).bytes_received, expected);
+  EXPECT_EQ(net.bytes_by_kind().at("VOTE"), expected);
+  EXPECT_EQ(header, Bytes(9, 1));
+  EXPECT_EQ(body_sizes, (std::vector<size_t>{1000, 250}));
+  EXPECT_TRUE(net.delivery_bodies().empty()) << "bodies are visible only during delivery";
+
+  // The same bytes framed flat cost exactly the same.
+  torbase::Writer flat;
+  flat.WriteRaw(Bytes(9, 1));
+  flat.WriteString(vote.text());
+  flat.WriteString(list.text());
+  EXPECT_EQ(Message(Bytes(9, 1), {vote, list}).size(), flat.size());
+}
+
+TEST(NetworkTest, BroadcastSharesOneBodyAcrossReceivers) {
+  constexpr uint32_t kNodes = 5;
+  Simulator sim;
+  Network net(&sim, SmallNetConfig(kNodes, BitsPerSecond(1e9), Millis(1)));
+  std::vector<const torcrypto::Body*> seen;
+  std::vector<const std::string*> texts;
+  for (NodeId r = 1; r < kNodes; ++r) {
+    net.SetHandler(r, [&](NodeId, const Bytes&) {
+      ASSERT_EQ(net.delivery_bodies().size(), 1u);
+      seen.push_back(&net.delivery_bodies()[0]);
+      texts.push_back(net.delivery_bodies()[0].shared_text().get());
+    });
+  }
+  const torcrypto::Body vote(std::string(4096, 'v'));
+  net.Broadcast(0, "VOTE", Message(Bytes{1}, {vote}));
+  sim.Run();
+  ASSERT_EQ(seen.size(), kNodes - 1);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], seen[0]) << "receiver " << i + 1 << " got its own copy";
+    EXPECT_EQ(texts[i], vote.shared_text().get()) << "receiver " << i + 1;
+  }
+  EXPECT_EQ(net.bytes_by_kind().at("VOTE"), (kNodes - 1) * (1 + 4 + 4096 + 64));
+}
+
+TEST(MessageBodyTest, StreamedPackedVoteDigestMatchesLegacySerialization) {
+  const std::vector<NodeId> authors = {0, 2, 7};
+  const std::vector<torcrypto::Body> lists = {torcrypto::Body(std::string(100, 'a')),
+                                              torcrypto::Body(std::string()),
+                                              torcrypto::Body(std::string(70000, 'c'))};
+  // The flat packed_text the synchronous protocol used to build and hash.
+  torbase::Writer packed;
+  packed.WriteU32(4);  // packer
+  packed.WriteU32(static_cast<uint32_t>(authors.size()));
+  for (size_t i = 0; i < authors.size(); ++i) {
+    packed.WriteU32(authors[i]);
+    packed.WriteString(lists[i].text());
+  }
+  EXPECT_EQ(torproto::SyncAuthority::PackedVoteDigest(4, authors, lists),
+            torcrypto::Digest256::Of(packed.buffer()));
+  EXPECT_NE(torproto::SyncAuthority::PackedVoteDigest(5, authors, lists),
+            torcrypto::Digest256::Of(packed.buffer()));
 }
 
 // A ping-pong actor pair exercising the harness wiring.
