@@ -45,7 +45,8 @@ int main() {
   std::vector<torproto::CurrentAuthority*> authorities;
   for (uint32_t a = 0; a < config.authority_count; ++a) {
     authorities.push_back(static_cast<torproto::CurrentAuthority*>(harness.AddActor(
-        std::make_unique<torproto::CurrentAuthority>(config, &directory, std::move(votes[a])))));
+        std::make_unique<torproto::CurrentAuthority>(
+            config, &directory, torproto::AuthorityMaterials::Own(std::move(votes[a]))))));
   }
   harness.StartAll();
   harness.sim().Run();

@@ -37,7 +37,8 @@ int main() {
   std::vector<toricc::IcpsAuthority*> authorities;
   for (uint32_t a = 0; a < config.authority_count; ++a) {
     authorities.push_back(static_cast<toricc::IcpsAuthority*>(harness.AddActor(
-        std::make_unique<toricc::IcpsAuthority>(config, &directory, std::move(votes[a])))));
+        std::make_unique<toricc::IcpsAuthority>(
+            config, &directory, torproto::AuthorityMaterials::Own(std::move(votes[a]))))));
   }
 
   // 3. Run the protocol to completion (virtual time).
@@ -54,11 +55,12 @@ int main() {
   std::printf("  relays in consensus    : %zu\n", outcome.consensus.relays.size());
   std::printf("  signatures collected   : %zu\n", outcome.consensus.signatures.size());
 
-  // Every authority holds the byte-identical consensus document.
+  // Every authority holds the byte-identical, valid consensus document; the
+  // exit status fails the run otherwise.
   const auto digest = tordir::ConsensusDigest(outcome.consensus);
   bool all_equal = true;
   for (const auto* authority : authorities) {
-    all_equal = all_equal &&
+    all_equal = all_equal && authority->outcome().valid_consensus &&
                 tordir::ConsensusDigest(authority->outcome().consensus) == digest;
   }
   std::printf("  identical on all 9     : %s\n", all_equal ? "yes" : "NO");

@@ -28,8 +28,8 @@
 #include "src/consensus/hotstuff.h"
 #include "src/core/digest_vector.h"
 #include "src/crypto/body.h"
+#include "src/protocols/authority.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace toricc {
@@ -43,7 +43,6 @@ struct IcpsConfig {
   torbase::Duration dissemination_timeout = torbase::Seconds(150);
   // Pacemaker settings for the agreement sub-protocol.
   torbft::HotStuffConfig hotstuff;
-  uint64_t key_seed = 42;
   tordir::AggregationParams aggregation;
 
   // Tor validity rule: majority of all authorities must sign.
@@ -79,61 +78,23 @@ struct IcpsOutcome {
   torbase::TimePoint finished_at = torbase::kTimeNever;  // valid consensus
 };
 
-class IcpsAuthority : public torsim::Actor {
+class IcpsAuthority : public torproto::Authority {
  public:
-  // Shared immutable inputs: the authority's own vote document, its
-  // serialized form with its digest (null = serialize and hash here) and the
-  // workload's pre-parsed vote cache (null = parse agreed documents from
-  // scratch). `second_vote_body` enables equivocation (see
-  // AuthorityMaterials): when set, odd peers receive it (with its own digest
-  // and sender signature) in the dissemination broadcast. Null for honest
-  // authorities.
+  // `materials` are the shared immutable inputs (torproto::AuthorityMaterials);
+  // a second vote body makes odd peers receive it (with its own digest and
+  // sender signature) in the dissemination broadcast (equivocation).
   IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                std::shared_ptr<const tordir::VoteDocument> own_vote,
-                torcrypto::Body own_vote_body = {},
-                std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                torcrypto::Body second_vote_body = {},
-                std::shared_ptr<const torproto::AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirectory* directory,
-                tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                torproto::AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(torbase::NodeId from, const torbase::Bytes& payload) override;
+  torproto::PublishedConsensus published() const override { return PublishedFrom(outcome_); }
 
   const IcpsOutcome& outcome() const { return outcome_; }
   bool finished() const { return outcome_.valid_consensus; }
   const torbft::HotStuffNode* agreement() const {
     return agreement_.has_value() ? &*agreement_ : nullptr;
   }
-
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
-  }
-
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const torproto::AuthorityRoundState>& round_state() const {
-    return round_state_;
-  }
-
-  // Authorities whose vote documents this one holds (its own included) — what
-  // the consensus-health monitor observes of the dissemination phase.
-  std::vector<torbase::NodeId> vote_senders() const {
-    std::vector<torbase::NodeId> senders;
-    senders.reserve(documents_.size());
-    for (const auto& [sender, doc] : documents_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' documents
-  // this authority admitted (own excluded) and texts it refused.
-  const std::vector<torproto::ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<torproto::RejectedVote>& rejected_votes() const { return rejected_votes_; }
 
  private:
   enum MessageType : uint8_t {
@@ -173,17 +134,6 @@ class IcpsAuthority : public torsim::Actor {
                      const torcrypto::Signature& sender_sig);
 
   IcpsConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  torcrypto::Body own_vote_body_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  torcrypto::Body second_vote_body_;
-  std::shared_ptr<const torproto::AuthorityRoundState> round_state_;
-
-  // Admission evidence, in arrival order.
-  std::vector<torproto::ObservedVote> observed_votes_;
-  std::vector<torproto::RejectedVote> rejected_votes_;
 
   // Documents received: sender -> (body, sender signature). First valid one
   // wins; a second, different digest from the same sender is kept as
@@ -207,7 +157,6 @@ class IcpsAuthority : public torsim::Actor {
 
   // Aggregation state.
   std::set<torbase::NodeId> pending_fetches_;
-  std::optional<torcrypto::Digest256> consensus_digest_;
   std::map<torbase::NodeId, torcrypto::Signature> consensus_sigs_;
   // Signatures received before our own aggregation finished.
   std::vector<torcrypto::Signature> pending_consensus_sigs_;

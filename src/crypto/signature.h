@@ -7,7 +7,7 @@
 // in a KeyDirectory (the stand-in for the PKI). A signature is 64 bytes — the
 // same kappa as Ed25519-style schemes — so the communication-complexity numbers
 // in Table 1 / Appendix B carry over unchanged. This substitution is recorded in
-// DESIGN.md §1.
+// EXPERIMENTS.md ("Substitutions").
 #ifndef SRC_CRYPTO_SIGNATURE_H_
 #define SRC_CRYPTO_SIGNATURE_H_
 

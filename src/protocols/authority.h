@@ -1,0 +1,117 @@
+// The authority core shared by every built-in directory protocol. The
+// deployed v3 protocol, Luo et al.'s synchronous fix and ICPS all start from
+// the same inputs (the authority's vote, its signing key, the workload's
+// pre-parsed votes) and yield the same evidence (admitted and rejected votes,
+// the consensus digest, the published consensus). Authority owns both; each
+// protocol subclass adds only its message exchange.
+#ifndef SRC_PROTOCOLS_AUTHORITY_H_
+#define SRC_PROTOCOLS_AUTHORITY_H_
+
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/crypto/body.h"
+#include "src/crypto/digest.h"
+#include "src/crypto/signature.h"
+#include "src/protocols/common.h"
+#include "src/sim/actor.h"
+#include "src/tordir/vote.h"
+
+namespace torproto {
+
+// The immutable inputs an authority actor shares with its workload instead of
+// copying: its own vote document and serialized bytes (as a message body, so
+// the digest the workload already computed travels with them), plus the
+// workload's digest-keyed cache of every authority's pre-parsed vote. All are
+// read-only after construction, which is what lets sweep cells on different
+// threads share them (see the threading contract in ROADMAP.md). `vote_body`
+// may be null (serialize and hash on demand); `vote_cache` may be null (parse
+// received votes from scratch, the pre-cache behaviour).
+struct AuthorityMaterials {
+  std::shared_ptr<const tordir::VoteDocument> vote;
+  torcrypto::Body vote_body;
+  std::shared_ptr<const tordir::VoteCache> vote_cache;
+  // When set, the authority *equivocates*: odd-numbered peers receive this
+  // body in the initial vote broadcast instead of `vote_body`. Null for
+  // honest authorities; populated only by the byzantine wrapper layer
+  // (src/protocols/byzantine.h).
+  torcrypto::Body second_vote_body;
+  // Round-boundary restore seam: the consensus state this authority carried
+  // out of a previous round (a crashed authority rejoining with the document
+  // it fetched). Null for a cold start. Authorities retain it — it never
+  // perturbs the protocol exchange — and SnapshotAuthority echoes it back
+  // when the authority does not assemble a fresh consensus this round.
+  std::shared_ptr<const AuthorityRoundState> round_state;
+
+  // Materials for tests and drivers that own a plain document.
+  static AuthorityMaterials Own(tordir::VoteDocument vote, std::string vote_text = {});
+};
+
+// What an authority ended the run publishing: the consensus document (null
+// until a *valid* consensus — majority signatures — was assembled) and the
+// absolute virtual time it became available for directory caches to mirror.
+// This is the hand-off point between the production plane (authorities) and
+// the consumption plane (src/clients): the scenario runner probes it to turn
+// protocol outcomes into client-visible availability.
+struct PublishedConsensus {
+  const tordir::ConsensusDocument* document = nullptr;
+  torbase::TimePoint published_at = torbase::kTimeNever;
+  // Digest of the document's unsigned body, when the authority computed one
+  // during the run (all built-ins do) — lets the health monitor record
+  // consensus digests without re-serializing multi-megabyte documents.
+  const torcrypto::Digest256* digest = nullptr;
+};
+
+class Authority : public torsim::Actor {
+ public:
+  // The consensus this authority publishes; {nullptr, kTimeNever} until it
+  // holds a valid one. The pointers stay valid as long as the actor does.
+  virtual PublishedConsensus published() const = 0;
+
+  // The round-boundary state this authority was restored with (null for a
+  // cold start). Read by the protocol's SnapshotAuthority.
+  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
+
+  // Admission evidence for the consensus-health monitor, in arrival order:
+  // peers' votes this authority admitted (own vote excluded) and texts it
+  // refused.
+  const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
+  const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
+
+ protected:
+  // `directory` must outlive the actor; the authority signs with the key for
+  // its vote's author. A null `materials.vote_body` is serialized and hashed
+  // here, once.
+  Authority(const torcrypto::KeyDirectory* directory, AuthorityMaterials materials);
+
+  // published() for an outcome carrying {valid_consensus, consensus,
+  // finished_at}, as all three built-in outcomes do.
+  template <typename Outcome>
+  PublishedConsensus PublishedFrom(const Outcome& outcome) const {
+    if (!outcome.valid_consensus) {
+      return {};
+    }
+    return {&outcome.consensus, outcome.finished_at,
+            consensus_digest_.has_value() ? &*consensus_digest_ : nullptr};
+  }
+
+  const torcrypto::KeyDirectory* directory_;
+  torcrypto::Signer signer_;
+  std::shared_ptr<const tordir::VoteDocument> own_vote_;
+  torcrypto::Body own_vote_body_;
+  std::shared_ptr<const tordir::VoteCache> vote_cache_;
+  torcrypto::Body second_vote_body_;
+  std::shared_ptr<const AuthorityRoundState> round_state_;
+
+  std::vector<ObservedVote> observed_votes_;
+  std::vector<RejectedVote> rejected_votes_;
+
+  // Digest of the unsigned consensus body, once computed this run.
+  std::optional<torcrypto::Digest256> consensus_digest_;
+};
+
+}  // namespace torproto
+
+#endif  // SRC_PROTOCOLS_AUTHORITY_H_

@@ -95,9 +95,6 @@ class ByzantineProtocol : public DirectoryProtocol {
   AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
     return inner_->SnapshotAuthority(actor);
   }
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return inner_->ProbeVoteSenders(actor);
-  }
   std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
     return inner_->ProbeVoteObservations(actor);
   }

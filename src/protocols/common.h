@@ -36,9 +36,6 @@ struct ProtocolConfig {
   // in EXPERIMENTS.md.
   Duration dir_request_deadline = torbase::Seconds(28);
 
-  // Seed for the authority key directory.
-  uint64_t key_seed = 42;
-
   tordir::AggregationParams aggregation;
 
   // Votes needed to compute a consensus, and matching signatures needed for it

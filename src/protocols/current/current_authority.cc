@@ -17,31 +17,8 @@ constexpr const char* kKindSigFetch = "SIG_FETCH";
 
 CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
                                    const torcrypto::KeyDirectory* directory,
-                                   std::shared_ptr<const tordir::VoteDocument> own_vote,
-                                   torcrypto::Body own_vote_body,
-                                   std::shared_ptr<const tordir::VoteCache> vote_cache,
-                                   torcrypto::Body second_vote_body,
-                                   std::shared_ptr<const AuthorityRoundState> round_state)
-    : config_(config),
-      directory_(directory),
-      signer_(directory->SignerFor(own_vote->authority)),
-      own_vote_(std::move(own_vote)),
-      own_vote_body_(std::move(own_vote_body)),
-      vote_cache_(std::move(vote_cache)),
-      second_vote_body_(std::move(second_vote_body)),
-      round_state_(std::move(round_state)) {
-  if (!own_vote_body_.has_value()) {
-    own_vote_body_ = torcrypto::Body(tordir::SerializeVote(*own_vote_));
-  }
-}
-
-CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
-                                   const torcrypto::KeyDirectory* directory,
-                                   tordir::VoteDocument own_vote, std::string own_vote_text)
-    : CurrentAuthority(config, directory,
-                       std::make_shared<const tordir::VoteDocument>(std::move(own_vote)),
-                       own_vote_text.empty() ? torcrypto::Body()
-                                             : torcrypto::Body(std::move(own_vote_text))) {}
+                                   AuthorityMaterials materials)
+    : Authority(directory, std::move(materials)), config_(config) {}
 
 void CurrentAuthority::Start() {
   votes_[id()] = own_vote_;

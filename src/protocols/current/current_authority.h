@@ -24,69 +24,28 @@
 
 #include "src/common/serialize.h"
 #include "src/crypto/body.h"
-#include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
+#include "src/protocols/authority.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
 
-class CurrentAuthority : public torsim::Actor {
+class CurrentAuthority : public Authority {
  public:
-  // `directory` must outlive the actor. The authority signs with the key for
-  // its node id. All shared inputs are immutable: `own_vote` is the
-  // authority's vote document, `own_vote_body` its serialized form with its
-  // digest (null = serialize and hash here) and `vote_cache` the workload's
-  // digest-keyed pre-parsed votes (null = parse received votes from
-  // scratch). The scenario runner shares one set of documents across every
-  // cell and run. `second_vote_body` enables equivocation (see
-  // AuthorityMaterials): when set, odd peers receive it in the vote round
-  // instead of `own_vote_body`. Null for honest authorities. `round_state` is
-  // the multi-round restore seam (AuthorityMaterials::round_state): retained
-  // and echoed by SnapshotAuthority, never part of the protocol exchange.
+  // `materials` are the shared immutable inputs (AuthorityMaterials); a
+  // second vote body makes odd peers receive it in the vote round instead of
+  // the own vote body (equivocation).
   CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                   std::shared_ptr<const tordir::VoteDocument> own_vote,
-                   torcrypto::Body own_vote_body = {},
-                   std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                   torcrypto::Body second_vote_body = {},
-                   std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  CurrentAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                   tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                   AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
+  PublishedConsensus published() const override { return PublishedFrom(outcome_); }
 
   const AuthorityOutcome& outcome() const { return outcome_; }
   const ProtocolConfig& config() const { return config_; }
   bool finished() const { return finished_; }
-
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
-  }
-
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
-
-  // Authorities whose votes this one holds (its own included) — what the
-  // consensus-health monitor observes of the vote exchange.
-  std::vector<NodeId> vote_senders() const {
-    std::vector<NodeId> senders;
-    senders.reserve(votes_.size());
-    for (const auto& [sender, vote] : votes_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' votes this
-  // authority admitted (own vote excluded) and texts it refused.
-  const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
 
  private:
   enum MessageType : uint8_t {
@@ -120,17 +79,6 @@ class CurrentAuthority : public torsim::Actor {
   void MaybeRecordVoteCompletion();
 
   ProtocolConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  torcrypto::Body own_vote_body_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  torcrypto::Body second_vote_body_;
-  std::shared_ptr<const AuthorityRoundState> round_state_;
-
-  // Admission evidence, in arrival order.
-  std::vector<ObservedVote> observed_votes_;
-  std::vector<RejectedVote> rejected_votes_;
 
   // Votes received (and their bodies, re-served to fetches as they arrived).
   // The documents are shared with the workload cache whenever the received
@@ -141,7 +89,6 @@ class CurrentAuthority : public torsim::Actor {
 
   // Signatures over our computed consensus digest.
   std::map<NodeId, torcrypto::Signature> signatures_;
-  std::optional<torcrypto::Digest256> consensus_digest_;
 
   // Fetch bookkeeping: ids we asked for and when, to log give-ups.
   std::set<NodeId> outstanding_vote_fetches_;

@@ -16,8 +16,8 @@
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
-#include "src/crypto/body.h"
 #include "src/crypto/signature.h"
+#include "src/protocols/authority.h"
 #include "src/protocols/common.h"
 #include "src/sim/actor.h"
 #include "src/tordir/vote.h"
@@ -50,49 +50,6 @@ struct UnifiedOutcome {
   // Absolute virtual time (seconds) at which this authority finished. NaN on
   // failure.
   double finish_seconds = std::numeric_limits<double>::quiet_NaN();
-};
-
-// What an authority ended the run publishing: the consensus document (null
-// until a *valid* consensus — majority signatures — was assembled) and the
-// absolute virtual time it became available for directory caches to mirror.
-// This is the hand-off point between the production plane (authorities) and
-// the consumption plane (src/clients): the scenario runner probes it to turn
-// protocol outcomes into client-visible availability.
-struct PublishedConsensus {
-  const tordir::ConsensusDocument* document = nullptr;
-  torbase::TimePoint published_at = torbase::kTimeNever;
-  // Digest of the document's unsigned body, when the authority computed one
-  // during the run (all built-ins do) — lets the health monitor record
-  // consensus digests without re-serializing multi-megabyte documents.
-  const torcrypto::Digest256* digest = nullptr;
-};
-
-// The immutable inputs an authority actor shares with its workload instead of
-// copying: its own vote document and serialized bytes (as a message body, so
-// the digest the workload already computed travels with them), plus the
-// workload's digest-keyed cache of every authority's pre-parsed vote. All are
-// read-only after construction, which is what lets sweep cells on different
-// threads share them (see the threading contract in ROADMAP.md). `vote_body`
-// may be null (serialize and hash on demand); `vote_cache` may be null (parse
-// received votes from scratch, the pre-cache behaviour).
-struct AuthorityMaterials {
-  std::shared_ptr<const tordir::VoteDocument> vote;
-  torcrypto::Body vote_body;
-  std::shared_ptr<const tordir::VoteCache> vote_cache;
-  // When set, the authority *equivocates*: odd-numbered peers receive this
-  // body in the initial vote broadcast instead of `vote_body`. Null for
-  // honest authorities; populated only by the byzantine wrapper layer
-  // (src/protocols/byzantine.h).
-  torcrypto::Body second_vote_body;
-  // Round-boundary restore seam: the consensus state this authority carried
-  // out of a previous round (a crashed authority rejoining with the document
-  // it fetched). Null for a cold start. Authorities retain it — it never
-  // perturbs the protocol exchange — and SnapshotAuthority echoes it back
-  // when the authority does not assemble a fresh consensus this round.
-  std::shared_ptr<const AuthorityRoundState> round_state;
-
-  // Convenience for tests and drivers that own a plain document.
-  static AuthorityMaterials Own(tordir::VoteDocument vote, std::string vote_text = {});
 };
 
 class DirectoryProtocol {
@@ -133,20 +90,10 @@ class DirectoryProtocol {
   // registered protocol by timeline_test).
   virtual AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const;
 
-  // The authorities whose votes (relay lists / vote documents, in each
-  // protocol's vocabulary) `actor` ended the run holding, its own included.
-  // The consensus-health monitor ingests this to detect the §4 missing-votes
-  // DDoS signature. Empty for protocols that do not expose it.
-  virtual std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const {
-    (void)actor;
-    return {};
-  }
-
   // Every vote `actor` admitted from a peer during the run, with arrival
-  // times and shared parsed documents. Supersedes ProbeVoteSenders as the
-  // health monitor's feed (per-observer digests are what expose
-  // equivocation); empty for protocols that do not track it, in which case
-  // the monitor falls back to ProbeVoteSenders.
+  // times and shared parsed documents: the consensus-health monitor's feed
+  // (per-observer digests are what expose equivocation, missing senders the
+  // §4 missing-votes DDoS). Empty for protocols that do not track it.
   virtual std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const {
     (void)actor;
     return {};

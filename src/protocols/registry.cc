@@ -13,22 +13,66 @@
 namespace torproto {
 namespace {
 
-// Echo a restored round_state out of an authority that assembled nothing this
-// round: the snapshot seam's "a rejoining authority keeps serving what it
-// fetched" half, shared by the three built-ins.
-AuthorityRoundState RestoredOrEmpty(std::shared_ptr<const AuthorityRoundState> restored) {
-  if (restored == nullptr) {
-    return {};
+// The parts of a built-in protocol written once: every built-in actor is an
+// Authority, so its published consensus, round snapshot and admission
+// evidence read the same way. Subclasses supply only what really differs —
+// names, construction and the network-time formula.
+class BuiltinProtocol : public DirectoryProtocol {
+ public:
+  // The paper's §6.2 network time of `actor`, which holds a valid consensus.
+  virtual double NetworkSeconds(const torsim::Actor& actor) const = 0;
+
+  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
+    const PublishedConsensus published = ProbeConsensus(actor);
+    UnifiedOutcome unified;
+    if (published.document == nullptr) {
+      return unified;
+    }
+    unified.valid_consensus = true;
+    unified.consensus_relays = published.document->relays.size();
+    unified.network_time_seconds = NetworkSeconds(actor);
+    unified.finish_seconds = torbase::ToSeconds(published.published_at);
+    return unified;
   }
-  AuthorityRoundState state = *restored;
-  state.restored = true;
-  return state;
+
+  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
+    return AsAuthority(actor).published();
+  }
+
+  // A built-in that assembled nothing this round echoes the round_state it
+  // was restored with: a rejoining authority keeps serving what it fetched.
+  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
+    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
+    const auto& restored = AsAuthority(actor).round_state();
+    if (state.consensus == nullptr && restored != nullptr) {
+      state = *restored;
+      state.restored = true;
+    }
+    return state;
+  }
+
+  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
+    return AsAuthority(actor).observed_votes();
+  }
+
+  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
+    return AsAuthority(actor).rejected_votes();
+  }
+
+ private:
+  static const Authority& AsAuthority(const torsim::Actor& actor) {
+    return static_cast<const Authority&>(actor);
+  }
+};
+
+ProtocolConfig LockStepConfig(const ProtocolRunConfig& config) {
+  ProtocolConfig proto_config;
+  proto_config.authority_count = config.authority_count;
+  return proto_config;
 }
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
 // The deployed v3 protocol (src/protocols/current).
-class CurrentProtocol : public DirectoryProtocol {
+class CurrentProtocol : public BuiltinProtocol {
  public:
   std::string_view name() const override { return "current"; }
   std::string_view display_name() const override { return "Current"; }
@@ -37,66 +81,24 @@ class CurrentProtocol : public DirectoryProtocol {
                                                const torcrypto::KeyDirectory* directory,
                                                torbase::NodeId /*id*/,
                                                AuthorityMaterials materials) const override {
-    ProtocolConfig proto_config;
-    proto_config.authority_count = config.authority_count;
-    return std::make_unique<CurrentAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_body),
-        std::move(materials.vote_cache), std::move(materials.second_vote_body),
-        std::move(materials.round_state));
+    return std::make_unique<CurrentAuthority>(LockStepConfig(config), directory,
+                                              std::move(materials));
   }
 
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const CurrentAuthority&>(actor).round_state());
-    }
-    return state;
-  }
-
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
+  // Vote rounds' network time + signature rounds' network time: the
+  // signature phases start two rounds in, so subtract the idle offset.
+  double NetworkSeconds(const torsim::Actor& actor) const override {
     const auto& authority = static_cast<const CurrentAuthority&>(actor);
     const auto& outcome = authority.outcome();
-    UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
-      return unified;
-    }
-    unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
-    // Vote rounds' network time + signature rounds' network time: the
-    // signature phases start two rounds in, so subtract the idle offset.
     const double round_seconds = torbase::ToSeconds(authority.config().round_length);
     const double vote_time = torbase::ToSeconds(outcome.all_votes_received_at);
     const double sig_time = torbase::ToSeconds(outcome.finished_at) - 2 * round_seconds;
-    unified.network_time_seconds = vote_time + sig_time;
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
-    return unified;
-  }
-
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const CurrentAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
-  }
-
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).vote_senders();
-  }
-
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).observed_votes();
-  }
-
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const CurrentAuthority&>(actor).rejected_votes();
+    return vote_time + sig_time;
   }
 };
 
 // Luo et al.'s synchronous fix (src/protocols/sync).
-class SynchronousProtocol : public DirectoryProtocol {
+class SynchronousProtocol : public BuiltinProtocol {
  public:
   std::string_view name() const override { return "synchronous"; }
   std::string_view display_name() const override { return "Synchronous"; }
@@ -105,65 +107,23 @@ class SynchronousProtocol : public DirectoryProtocol {
                                                const torcrypto::KeyDirectory* directory,
                                                torbase::NodeId /*id*/,
                                                AuthorityMaterials materials) const override {
-    ProtocolConfig proto_config;
-    proto_config.authority_count = config.authority_count;
-    return std::make_unique<SyncAuthority>(
-        proto_config, directory, std::move(materials.vote), std::move(materials.vote_body),
-        std::move(materials.vote_cache), std::move(materials.second_vote_body),
-        std::move(materials.round_state));
+    return std::make_unique<SyncAuthority>(LockStepConfig(config), directory,
+                                           std::move(materials));
   }
 
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const SyncAuthority&>(actor).round_state());
-    }
-    return state;
-  }
-
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
+  double NetworkSeconds(const torsim::Actor& actor) const override {
     const auto& authority = static_cast<const SyncAuthority&>(actor);
     const auto& outcome = authority.outcome();
-    UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
-      return unified;
-    }
-    unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
     const double round_seconds = torbase::ToSeconds(authority.config().round_length);
     const double list_time = torbase::ToSeconds(outcome.all_lists_received_at);
     const double packed_time = torbase::ToSeconds(outcome.all_packed_received_at) - round_seconds;
     const double sig_time = torbase::ToSeconds(outcome.finished_at) - 3 * round_seconds;
-    unified.network_time_seconds = list_time + packed_time + sig_time;
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
-    return unified;
-  }
-
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const SyncAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
-  }
-
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).vote_senders();
-  }
-
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).observed_votes();
-  }
-
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const SyncAuthority&>(actor).rejected_votes();
+    return list_time + packed_time + sig_time;
   }
 };
 
 // The paper's ICPS protocol (src/core).
-class IcpsProtocol : public DirectoryProtocol {
+class IcpsProtocol : public BuiltinProtocol {
  public:
   std::string_view name() const override { return "icps"; }
   std::string_view display_name() const override { return "Ours"; }
@@ -176,54 +136,13 @@ class IcpsProtocol : public DirectoryProtocol {
     icps_config.SetAuthorityCount(config.authority_count);
     icps_config.dissemination_timeout = config.dissemination_timeout;
     icps_config.hotstuff.two_phase = config.two_phase_agreement;
-    return std::make_unique<toricc::IcpsAuthority>(
-        icps_config, directory, std::move(materials.vote), std::move(materials.vote_body),
-        std::move(materials.vote_cache), std::move(materials.second_vote_body),
-        std::move(materials.round_state));
+    return std::make_unique<toricc::IcpsAuthority>(icps_config, directory, std::move(materials));
   }
 
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    AuthorityRoundState state = DirectoryProtocol::SnapshotAuthority(actor);
-    if (state.consensus == nullptr) {
-      return RestoredOrEmpty(static_cast<const toricc::IcpsAuthority&>(actor).round_state());
-    }
-    return state;
-  }
-
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    const auto& outcome = static_cast<const toricc::IcpsAuthority&>(actor).outcome();
-    UnifiedOutcome unified;
-    if (!outcome.valid_consensus) {
-      return unified;
-    }
-    unified.valid_consensus = true;
-    unified.consensus_relays = outcome.consensus.relays.size();
-    // ICPS has no idle lock-step rounds: network time is start-to-finish.
-    unified.network_time_seconds = torbase::ToSeconds(outcome.finished_at);
-    unified.finish_seconds = torbase::ToSeconds(outcome.finished_at);
-    return unified;
-  }
-
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    const auto& authority = static_cast<const toricc::IcpsAuthority&>(actor);
-    const auto& outcome = authority.outcome();
-    if (!outcome.valid_consensus) {
-      return {};
-    }
-    return {&outcome.consensus, outcome.finished_at,
-            authority.consensus_digest() ? &*authority.consensus_digest() : nullptr};
-  }
-
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).vote_senders();
-  }
-
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).observed_votes();
-  }
-
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return static_cast<const toricc::IcpsAuthority&>(actor).rejected_votes();
+  // ICPS has no idle lock-step rounds: network time is start-to-finish.
+  double NetworkSeconds(const torsim::Actor& actor) const override {
+    return torbase::ToSeconds(
+        static_cast<const toricc::IcpsAuthority&>(actor).outcome().finished_at);
   }
 
   std::optional<std::pair<uint64_t, torbase::NodeId>> AgreementView(
@@ -267,15 +186,6 @@ AuthorityRoundState DirectoryProtocol::SnapshotAuthority(const torsim::Actor& ac
         std::make_shared<const std::string>(tordir::SerializeConsensus(*state.consensus));
   }
   return state;
-}
-
-AuthorityMaterials AuthorityMaterials::Own(tordir::VoteDocument vote, std::string vote_text) {
-  AuthorityMaterials materials;
-  materials.vote = std::make_shared<const tordir::VoteDocument>(std::move(vote));
-  if (!vote_text.empty()) {
-    materials.vote_body = torcrypto::Body(std::move(vote_text));
-  }
-  return materials;
 }
 
 void RegisterProtocol(std::unique_ptr<DirectoryProtocol> protocol) {

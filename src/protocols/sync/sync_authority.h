@@ -19,10 +19,11 @@
 // bounded only by their phase windows.
 //
 // Simplifications relative to a full Dolev-Strong implementation (documented
-// in DESIGN.md): the relay rounds carry only the packed-vote digest plus the
-// signature chain (contents travelled in phase 2), and chain acceptance does
-// not enforce the per-round signature count — equivocation by the designated
-// sender is still detected and nullifies the run.
+// in EXPERIMENTS.md, "Substitutions"): the relay rounds carry only the
+// packed-vote digest plus the signature chain (contents travelled in phase
+// 2), and chain acceptance does not enforce the per-round signature count —
+// equivocation by the designated sender is still detected and nullifies the
+// run.
 #ifndef SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 #define SRC_PROTOCOLS_SYNC_SYNC_AUTHORITY_H_
 
@@ -38,8 +39,8 @@
 #include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/signature.h"
+#include "src/protocols/authority.h"
 #include "src/protocols/common.h"
-#include "src/sim/actor.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
@@ -57,57 +58,21 @@ struct SyncOutcome {
   torbase::TimePoint finished_at = torbase::kTimeNever;
 };
 
-class SyncAuthority : public torsim::Actor {
+class SyncAuthority : public Authority {
  public:
-  // Shared immutable inputs: the authority's own vote document, its
-  // serialized form with its digest (null = serialize and hash here) and the
-  // workload's pre-parsed vote cache (null = parse agreed lists from
-  // scratch). `second_vote_body` enables equivocation (see
-  // AuthorityMaterials): when set, odd peers receive it in the propose round
-  // instead of `own_vote_body`. Null for honest authorities.
+  // `materials` are the shared immutable inputs (AuthorityMaterials); a
+  // second vote body makes odd peers receive it in the propose round instead
+  // of the own vote body (equivocation).
   SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                std::shared_ptr<const tordir::VoteDocument> own_vote,
-                torcrypto::Body own_vote_body = {},
-                std::shared_ptr<const tordir::VoteCache> vote_cache = nullptr,
-                torcrypto::Body second_vote_body = {},
-                std::shared_ptr<const AuthorityRoundState> round_state = nullptr);
-
-  // Convenience for tests and drivers that own a plain document.
-  SyncAuthority(const ProtocolConfig& config, const torcrypto::KeyDirectory* directory,
-                tordir::VoteDocument own_vote, std::string own_vote_text = {});
+                AuthorityMaterials materials);
 
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
+  PublishedConsensus published() const override { return PublishedFrom(outcome_); }
 
   const SyncOutcome& outcome() const { return outcome_; }
   const ProtocolConfig& config() const { return config_; }
   bool finished() const { return finished_; }
-
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
-
-  // Digest of the unsigned consensus body, once computed this run.
-  const std::optional<torcrypto::Digest256>& consensus_digest() const {
-    return consensus_digest_;
-  }
-
-  // Authorities whose relay lists (this protocol's vote documents) this one
-  // holds, its own included — what the consensus-health monitor observes.
-  std::vector<NodeId> vote_senders() const {
-    std::vector<NodeId> senders;
-    senders.reserve(lists_.size());
-    for (const auto& [sender, list] : lists_) {
-      senders.push_back(sender);
-    }
-    return senders;
-  }
-
-  // Admission evidence for the consensus-health monitor: peers' relay lists
-  // this authority admitted (own excluded) and texts it refused — at propose
-  // time or while unpacking the agreed packed vote.
-  const std::vector<ObservedVote>& observed_votes() const { return observed_votes_; }
-  const std::vector<RejectedVote>& rejected_votes() const { return rejected_votes_; }
 
   // The Dolev-Strong digest of a packed vote: SHA-256 streamed over its
   // legacy flat serialization — u32 packer, u32 count, then per list u32
@@ -156,17 +121,6 @@ class SyncAuthority : public torsim::Actor {
   static const torcrypto::Digest256& DigestOf(PackedVote& packed);
 
   ProtocolConfig config_;
-  const torcrypto::KeyDirectory* directory_;
-  torcrypto::Signer signer_;
-  std::shared_ptr<const tordir::VoteDocument> own_vote_;
-  torcrypto::Body own_vote_body_;
-  std::shared_ptr<const tordir::VoteCache> vote_cache_;
-  torcrypto::Body second_vote_body_;
-  std::shared_ptr<const AuthorityRoundState> round_state_;
-
-  // Admission evidence, in arrival order.
-  std::vector<ObservedVote> observed_votes_;
-  std::vector<RejectedVote> rejected_votes_;
 
   // Phase 1 state: relay lists by author, shared with the workload text when
   // the received bytes match a canonical vote.
@@ -184,7 +138,6 @@ class SyncAuthority : public torsim::Actor {
   std::set<torcrypto::Digest256> relayed_;
 
   // Phase 4 state.
-  std::optional<torcrypto::Digest256> consensus_digest_;
   std::map<NodeId, torcrypto::Signature> signatures_;
   bool finished_ = false;
 

@@ -32,25 +32,12 @@ double NodeRate(const ScenarioSpec& spec, torbase::NodeId node) {
 // consensus-health monitor (Table 1's deployed mitigation) and stores the
 // alerts. Pure post-run analysis over probe results.
 void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& protocol,
-                   const std::vector<torsim::Actor*>& actors,
-                   const std::vector<torcrypto::Body>& vote_bodies,
-                   ScenarioResult& result) {
+                   const std::vector<torsim::Actor*>& actors, ScenarioResult& result) {
   tordir::HealthMonitor monitor(spec.authority_count);
   for (const torsim::Actor* actor : actors) {
-    const std::vector<torproto::ObservedVote> observations =
-        protocol.ProbeVoteObservations(*actor);
-    if (observations.empty()) {
-      // Protocols without admission probes (downstream registrations) fall
-      // back to the sender list, paired with the canonical workload digests.
-      for (const torbase::NodeId sender : protocol.ProbeVoteSenders(*actor)) {
-        if (sender < vote_bodies.size()) {
-          monitor.RecordVote(actor->id(), sender, vote_bodies[sender].digest());
-        }
-      }
-    }
     // Per-observer evidence: each actor reports the digest *it* admitted, so
     // an equivocating sender shows up as two digests across observers.
-    for (const torproto::ObservedVote& observed : observations) {
+    for (const torproto::ObservedVote& observed : protocol.ProbeVoteObservations(*actor)) {
       tordir::VoteObservation record;
       record.sender = observed.sender;
       record.digest = observed.digest;
@@ -466,7 +453,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   }
 
   if (spec.monitor_health) {
-    AnalyzeHealth(spec, protocol, actors, workload.vote_bodies, result);
+    AnalyzeHealth(spec, protocol, actors, result);
   }
   ComputeFaultMetrics(spec, result);
   if (spec.client_load.client_count > 0) {

@@ -102,7 +102,8 @@ struct Fleet {
             std::make_unique<EquivocatingDisseminator>(&directory, votes[i])));
       } else {
         actors.push_back(harness->AddActor(
-            std::make_unique<IcpsAuthority>(config, &directory, votes[i])));
+            std::make_unique<IcpsAuthority>(config, &directory,
+                                            torproto::AuthorityMaterials::Own(votes[i]))));
       }
     }
   }

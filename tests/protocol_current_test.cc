@@ -46,7 +46,8 @@ struct Fixture {
     authorities.clear();
     for (uint32_t a = 0; a < config.authority_count; ++a) {
       authorities.push_back(static_cast<CurrentAuthority*>(harness->AddActor(
-          std::make_unique<CurrentAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<CurrentAuthority>(
+              config, &directory, AuthorityMaterials::Own(std::move(votes[a]))))));
     }
   }
 

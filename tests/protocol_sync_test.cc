@@ -45,7 +45,8 @@ struct Fixture {
     authorities.clear();
     for (uint32_t a = 0; a < config.authority_count; ++a) {
       authorities.push_back(static_cast<SyncAuthority*>(harness->AddActor(
-          std::make_unique<SyncAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<SyncAuthority>(
+              config, &directory, AuthorityMaterials::Own(std::move(votes[a]))))));
     }
   }
 

@@ -738,8 +738,12 @@ class RenamedIcps : public torproto::DirectoryProtocol {
   torproto::PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
     return torproto::GetProtocol("icps").ProbeConsensus(actor);
   }
-  std::vector<torbase::NodeId> ProbeVoteSenders(const torsim::Actor& actor) const override {
-    return torproto::GetProtocol("icps").ProbeVoteSenders(actor);
+  std::vector<torproto::ObservedVote> ProbeVoteObservations(
+      const torsim::Actor& actor) const override {
+    return torproto::GetProtocol("icps").ProbeVoteObservations(actor);
+  }
+  std::vector<torproto::RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
+    return torproto::GetProtocol("icps").ProbeVoteRejects(actor);
   }
 };
 
@@ -749,6 +753,20 @@ TEST(ProtocolRegistryTest, DownstreamRegistrationIsDispatchable) {
   const auto result = runner.Run(SmallSpec("icps-alias"));
   EXPECT_TRUE(result.succeeded);
   EXPECT_EQ(result.valid_count, 9u);
+
+  // A downstream protocol feeds the health monitor through the same probes:
+  // an equivocating authority raises the alias exactly the alerts it raises
+  // the protocol the alias forwards to.
+  ScenarioSpec alias = SmallSpec("icps-alias");
+  alias.byzantine.behaviors[0] = torproto::ByzantineBehavior::kEquivocate;
+  alias.monitor_health = true;
+  ScenarioSpec icps = alias;
+  icps.protocol = "icps";
+  const auto alias_result = runner.Run(alias);
+  const auto icps_result = runner.Run(icps);
+  ASSERT_FALSE(icps_result.health_alerts.empty());
+  EXPECT_EQ(alias_result.health_alerts, icps_result.health_alerts);
+  EXPECT_EQ(alias_result.faults_detected, 1u);
 }
 
 }  // namespace

@@ -151,7 +151,8 @@ TEST(SecurityTest, CurrentProtocolSplitsUnderEquivocation) {
   std::vector<torproto::CurrentAuthority*> honest;
   for (NodeId a = 1; a < 9; ++a) {
     honest.push_back(static_cast<torproto::CurrentAuthority*>(harness.AddActor(
-        std::make_unique<torproto::CurrentAuthority>(config, &directory, std::move(votes[a])))));
+        std::make_unique<torproto::CurrentAuthority>(
+            config, &directory, torproto::AuthorityMaterials::Own(std::move(votes[a]))))));
   }
   harness.StartAll();
   harness.sim().Run();
@@ -223,7 +224,8 @@ TEST(SecurityTest, SynchronousProtocolResistsVoteEquivocation) {
       harness.AddActor(std::make_unique<EquivocatingSyncProposer>(std::move(votes[a])));
     } else {
       honest.push_back(static_cast<torproto::SyncAuthority*>(harness.AddActor(
-          std::make_unique<torproto::SyncAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<torproto::SyncAuthority>(
+              config, &directory, torproto::AuthorityMaterials::Own(std::move(votes[a]))))));
     }
   }
   harness.StartAll();
@@ -293,7 +295,8 @@ TEST(SecurityTest, IcpsFetchesWithheldDocumentsFromWitnesses) {
                                                                std::set<NodeId>{0, 1, 3, 4, 5}));
     } else {
       honest.push_back(static_cast<toricc::IcpsAuthority*>(harness.AddActor(
-          std::make_unique<toricc::IcpsAuthority>(config, &directory, std::move(votes[a])))));
+          std::make_unique<toricc::IcpsAuthority>(
+              config, &directory, torproto::AuthorityMaterials::Own(std::move(votes[a]))))));
     }
   }
   harness.StartAll();
