@@ -29,6 +29,7 @@
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
 #include "src/clients/population.h"
+#include "src/common/bytes.h"
 #include "src/common/thread_pool.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/timeline.h"
@@ -78,14 +79,21 @@ void PrintAvailability(const torscenario::ClientAvailabilityResult& day) {
 int main(int argc, char** argv) {
   bool quick = false;
   unsigned threads = torbase::ThreadPool::DefaultThreads();
+  const auto usage = [argv] {
+    std::fprintf(stderr, "usage: %s [--quick] [--threads N]\n", argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      const auto parsed = torbase::ParseDecimal<unsigned>(argv[++i]);
+      if (!parsed.has_value()) {
+        return usage();
+      }
+      threads = *parsed;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--threads N]\n", argv[0]);
-      return 2;
+      return usage();
     }
   }
 

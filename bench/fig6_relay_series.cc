@@ -18,10 +18,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
+#include "src/common/bytes.h"
 #include "src/common/table.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/consensus_diff.h"
@@ -155,14 +155,21 @@ int RunTimeSeries() {
 int main(int argc, char** argv) {
   size_t max_relays = 0;
   bool smoke = false;
+  const auto usage = [argv] {
+    std::fprintf(stderr, "usage: %s [--max-relays N] [--smoke]\n", argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-relays") == 0 && i + 1 < argc) {
-      max_relays = static_cast<size_t>(std::atoll(argv[++i]));
+      const auto parsed = torbase::ParseDecimal<size_t>(argv[++i]);
+      if (!parsed.has_value()) {
+        return usage();
+      }
+      max_relays = *parsed;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--max-relays N] [--smoke]\n", argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (max_relays > 0 || smoke) {

@@ -25,6 +25,7 @@
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
 #include "src/clients/population.h"
+#include "src/common/bytes.h"
 #include "src/common/counting_allocator.h"
 #include "src/common/thread_pool.h"
 #include "src/crypto/sha256.h"
@@ -697,16 +698,23 @@ int main(int argc, char** argv) {
   bool quick = false;
   unsigned threads = torbase::ThreadPool::DefaultThreads();
   std::string out_path = "BENCH_sweep.json";
+  const auto usage = [argv] {
+    std::fprintf(stderr, "usage: %s [--quick] [--threads N] [--out PATH]\n", argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      const auto parsed = torbase::ParseDecimal<unsigned>(argv[++i]);
+      if (!parsed.has_value()) {
+        return usage();
+      }
+      threads = *parsed;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--threads N] [--out PATH]\n", argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (threads == 0) {

@@ -6,17 +6,24 @@
 //
 //   ./build/examples/bandwidth_stress [relay_count]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/table.h"
 #include "src/protocols/directory_protocol.h"
 #include "src/scenario/runner.h"
 
 int main(int argc, char** argv) {
-  const size_t relays = argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 3000;
+  const std::optional<size_t> relays_arg =
+      argc > 1 ? torbase::ParseDecimal<size_t>(argv[1]) : std::optional<size_t>(3000);
+  if (argc > 2 || !relays_arg.has_value()) {
+    std::fprintf(stderr, "usage: %s [relay_count]\n", argv[0]);
+    return 2;
+  }
+  const size_t relays = *relays_arg;
   std::printf("Bandwidth stress test at %zu relays (mini Figure 10)\n\n", relays);
 
   const std::vector<std::string> protocols = {"current", "synchronous", "icps"};

@@ -1,16 +1,19 @@
-// Byte-buffer helpers: hex encoding/decoding and byte-vector utilities shared by
-// every module in the repository.
+// Byte-buffer helpers: hex encoding/decoding, decimal parsing and byte-vector
+// utilities shared by every module in the repository.
 #ifndef SRC_COMMON_BYTES_H_
 #define SRC_COMMON_BYTES_H_
 
 #include <array>
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace torbase {
@@ -52,6 +55,21 @@ std::string HexEncodeUpper(std::span<const uint8_t> data);
 // Decodes a hex string (either case). Returns std::nullopt on odd length or
 // non-hex characters.
 std::optional<Bytes> HexDecode(std::string_view hex);
+
+// Parses all of `text` as an unsigned decimal number, e.g. a relay or thread
+// count on a command line. Returns std::nullopt for an empty string, a sign,
+// any other non-digit, or a value that does not fit in T.
+template <typename T>
+std::optional<T> ParseDecimal(std::string_view text) {
+  static_assert(std::is_unsigned_v<T>, "ParseDecimal parses unsigned counts");
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // Allocation-free forms for hot codec paths (the dir-spec text codec encodes
 // and decodes ~100 hex chars per relay; going through a std::string/Bytes

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "src/tordir/aggregate.h"
-#include "src/tordir/dirspec.h"
-
 namespace toricc {
 namespace {
 
@@ -366,7 +363,7 @@ void IcpsAuthority::MaybeFinishAggregation() {
   // All agreed documents present: aggregate exactly the non-⟂ entries. The
   // agreed digests are the canonical workload votes in the honest runs, so
   // the cache turns this into pointer lookups; a miss parses as before.
-  std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
+  std::vector<torproto::RoundMemo::Vote> votes;
   votes.reserve(agreed_vector_->entries.size());
   for (torbase::NodeId j = 0; j < config_.authority_count; ++j) {
     const VectorEntry& entry = agreed_vector_->entries[j];
@@ -388,16 +385,11 @@ void IcpsAuthority::MaybeFinishAggregation() {
       }
       continue;
     }
-    votes.push_back(std::move(admission.document));
+    votes.push_back({admission.body.digest(), std::move(admission.document)});
   }
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes.size());
-  for (const auto& vote : votes) {
-    vote_ptrs.push_back(vote.get());
-  }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
-  log().Notice(now(), "Consensus computed from " + std::to_string(votes.size()) +
+  const size_t vote_count = votes.size();
+  outcome_.consensus = Aggregate(std::move(votes), config_.aggregation);
+  log().Notice(now(), "Consensus computed from " + std::to_string(vote_count) +
                           " documents (" + std::to_string(outcome_.consensus.relays.size()) +
                           " relays); broadcasting signature.");
 

@@ -1,10 +1,75 @@
 #include "src/protocols/authority.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "src/common/serialize.h"
+#include "src/crypto/sha256.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
+
+torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
+                                      std::span<const torcrypto::Body> lists) {
+  torcrypto::Sha256 sha;
+  torbase::Writer prefix;
+  prefix.WriteU32(packer);
+  prefix.WriteU32(static_cast<uint32_t>(authors.size()));
+  sha.Update(prefix.buffer());
+  for (size_t i = 0; i < authors.size(); ++i) {
+    torbase::Writer frame;
+    frame.WriteU32(authors[i]);
+    frame.WriteU32(static_cast<uint32_t>(lists[i].size()));
+    sha.Update(frame.buffer());
+    sha.Update(lists[i].text());
+  }
+  return torcrypto::Digest256(sha.Finish());
+}
+
+const RoundMemo::Consensus& RoundMemo::Aggregate(std::vector<Vote> votes,
+                                                 const tordir::AggregationParams& params) {
+  // Authority-id order, the order the protocols have always aggregated in.
+  // Within a run a digest names one document, so this order is also a
+  // canonical order of the key's digests.
+  std::sort(votes.begin(), votes.end(), [](const Vote& a, const Vote& b) {
+    return a.document->authority != b.document->authority
+               ? a.document->authority < b.document->authority
+               : a.digest < b.digest;
+  });
+  ConsensusKey key{params, {}};
+  key.votes.reserve(votes.size());
+  for (const Vote& vote : votes) {
+    key.votes.push_back(vote.digest);
+  }
+  auto it = consensus_.find(key);
+  if (it == consensus_.end()) {
+    std::vector<const tordir::VoteDocument*> vote_ptrs;
+    vote_ptrs.reserve(votes.size());
+    for (const Vote& vote : votes) {
+      vote_ptrs.push_back(vote.document.get());
+    }
+    auto document = std::make_shared<const tordir::ConsensusDocument>(
+        tordir::ComputeConsensus(vote_ptrs, params));
+    const torcrypto::Digest256 digest = tordir::ConsensusDigest(*document);
+    it = consensus_.emplace(std::move(key), Consensus{std::move(document), digest}).first;
+  }
+  return it->second;
+}
+
+const torcrypto::Digest256& RoundMemo::PackedDigest(uint32_t packer,
+                                                    std::span<const NodeId> authors,
+                                                    std::span<const torcrypto::Body> lists) {
+  PackedKey key{packer, {authors.begin(), authors.end()}, {}};
+  key.lists.reserve(lists.size());
+  for (const torcrypto::Body& list : lists) {
+    key.lists.push_back(list.digest());
+  }
+  auto it = packed_.find(key);
+  if (it == packed_.end()) {
+    it = packed_.emplace(std::move(key), PackedVoteDigest(packer, authors, lists)).first;
+  }
+  return it->second;
+}
 
 AuthorityMaterials AuthorityMaterials::Own(tordir::VoteDocument vote, std::string vote_text) {
   AuthorityMaterials materials;
@@ -22,10 +87,19 @@ Authority::Authority(const torcrypto::KeyDirectory* directory, AuthorityMaterial
       own_vote_body_(std::move(materials.vote_body)),
       vote_cache_(std::move(materials.vote_cache)),
       second_vote_body_(std::move(materials.second_vote_body)),
-      round_state_(std::move(materials.round_state)) {
+      round_state_(std::move(materials.round_state)),
+      memo_(materials.memo != nullptr ? std::move(materials.memo)
+                                      : std::make_shared<RoundMemo>()) {
   if (!own_vote_body_.has_value()) {
     own_vote_body_ = torcrypto::Body(tordir::SerializeVote(*own_vote_));
   }
+}
+
+const tordir::ConsensusDocument& Authority::Aggregate(std::vector<RoundMemo::Vote> votes,
+                                                      const tordir::AggregationParams& params) {
+  const RoundMemo::Consensus& consensus = memo_->Aggregate(std::move(votes), params);
+  consensus_digest_ = consensus.digest;
+  return *consensus.document;
 }
 
 }  // namespace torproto

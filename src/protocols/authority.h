@@ -7,8 +7,10 @@
 #ifndef SRC_PROTOCOLS_AUTHORITY_H_
 #define SRC_PROTOCOLS_AUTHORITY_H_
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,9 +19,72 @@
 #include "src/crypto/signature.h"
 #include "src/protocols/common.h"
 #include "src/sim/actor.h"
+#include "src/tordir/aggregate.h"
 #include "src/tordir/vote.h"
 
 namespace torproto {
+
+// The synchronous protocol's Dolev-Strong digest of a packed vote: SHA-256
+// streamed over its legacy flat serialization — u32 packer, u32 count, then
+// per list u32 author, u32 length and the list bytes — without materializing
+// it.
+torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
+                                      std::span<const torcrypto::Body> lists);
+
+// The round's content-keyed memo of the work every authority would otherwise
+// repeat on byte-identical inputs: the consensus of an admitted vote set and
+// the digest of a packed vote. Keys name inputs by body digests, which are
+// fixed when a body is made; byzantine mutants and equivocation variants are
+// distinct bodies, so equal keys mean byte-identical inputs and a hit returns
+// exactly what the caller would have computed. The memo sits strictly after
+// admission: authorities still admit every vote, sign their own digest and
+// verify every peer signature.
+//
+// One memo serves the authorities of one simulated run (one sweep cell) and
+// is freed with it. The simulation of a cell runs on one thread, so the memo
+// is unsynchronized; it never crosses cells. Each authority aggregates and
+// hashes a packed vote at most once per run, so the memo holds at most one
+// entry of each kind per authority.
+class RoundMemo {
+ public:
+  // One admitted vote: the document and the digest of the body it was
+  // admitted from.
+  struct Vote {
+    torcrypto::Digest256 digest;
+    std::shared_ptr<const tordir::VoteDocument> document;
+  };
+  struct Consensus {
+    std::shared_ptr<const tordir::ConsensusDocument> document;
+    torcrypto::Digest256 digest;  // ConsensusDigest of the unsigned body
+  };
+
+  // ComputeConsensus + ConsensusDigest over `votes` (any order; aggregated in
+  // authority-id order), computed once per distinct (params, vote set).
+  const Consensus& Aggregate(std::vector<Vote> votes, const tordir::AggregationParams& params);
+
+  // PackedVoteDigest, computed once per distinct (packer, authors, lists).
+  const torcrypto::Digest256& PackedDigest(uint32_t packer, std::span<const NodeId> authors,
+                                           std::span<const torcrypto::Body> lists);
+
+  size_t consensus_entries() const { return consensus_.size(); }
+  size_t packed_entries() const { return packed_.size(); }
+
+ private:
+  struct ConsensusKey {
+    tordir::AggregationParams params;
+    std::vector<torcrypto::Digest256> votes;  // in aggregation order
+    auto operator<=>(const ConsensusKey&) const = default;
+  };
+  struct PackedKey {
+    uint32_t packer = 0;
+    std::vector<NodeId> authors;
+    std::vector<torcrypto::Digest256> lists;
+    auto operator<=>(const PackedKey&) const = default;
+  };
+
+  std::map<ConsensusKey, Consensus> consensus_;
+  std::map<PackedKey, torcrypto::Digest256> packed_;
+};
 
 // The immutable inputs an authority actor shares with its workload instead of
 // copying: its own vote document and serialized bytes (as a message body, so
@@ -44,6 +109,10 @@ struct AuthorityMaterials {
   // perturbs the protocol exchange — and SnapshotAuthority echoes it back
   // when the authority does not assemble a fresh consensus this round.
   std::shared_ptr<const AuthorityRoundState> round_state;
+  // The run's round memo, shared by all of its authorities. The scenario
+  // runner makes one per run; an authority built without one (tests,
+  // examples) makes a private memo.
+  std::shared_ptr<RoundMemo> memo;
 
   // Materials for tests and drivers that own a plain document.
   static AuthorityMaterials Own(tordir::VoteDocument vote, std::string vote_text = {});
@@ -97,6 +166,12 @@ class Authority : public torsim::Actor {
             consensus_digest_.has_value() ? &*consensus_digest_ : nullptr};
   }
 
+  // Aggregates the admitted `votes` through the round memo and records the
+  // consensus digest in consensus_digest_. The returned document is the
+  // memo's shared, unsigned consensus.
+  const tordir::ConsensusDocument& Aggregate(std::vector<RoundMemo::Vote> votes,
+                                             const tordir::AggregationParams& params);
+
   const torcrypto::KeyDirectory* directory_;
   torcrypto::Signer signer_;
   std::shared_ptr<const tordir::VoteDocument> own_vote_;
@@ -104,6 +179,7 @@ class Authority : public torsim::Actor {
   std::shared_ptr<const tordir::VoteCache> vote_cache_;
   torcrypto::Body second_vote_body_;
   std::shared_ptr<const AuthorityRoundState> round_state_;
+  std::shared_ptr<RoundMemo> memo_;
 
   std::vector<ObservedVote> observed_votes_;
   std::vector<RejectedVote> rejected_votes_;

@@ -35,6 +35,7 @@ AuthorityMaterials WithDocument(const AuthorityMaterials& honest, tordir::VoteDo
   faulty.vote = std::make_shared<const tordir::VoteDocument>(std::move(document));
   faulty.vote_cache = honest.vote_cache;
   faulty.round_state = honest.round_state;
+  faulty.memo = honest.memo;
   return faulty;
 }
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "src/tordir/aggregate.h"
-#include "src/tordir/dirspec.h"
-
 namespace torproto {
 namespace {
 
@@ -119,14 +116,13 @@ void CurrentAuthority::BeginComputeRound() {
     return;
   }
 
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes_.size());
+  std::vector<RoundMemo::Vote> votes;
+  votes.reserve(votes_.size());
   for (const auto& [authority, vote] : votes_) {
-    vote_ptrs.push_back(vote.get());
+    votes.push_back({vote_bodies_.at(authority).digest(), vote});
   }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
+  outcome_.consensus = Aggregate(std::move(votes), config_.aggregation);
   outcome_.computed_consensus = true;
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
   log().Notice(now(), "Consensus computed (" + std::to_string(outcome_.consensus.relays.size()) +
                           " relays), broadcasting signature.");
 

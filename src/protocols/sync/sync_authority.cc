@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "src/tordir/aggregate.h"
-#include "src/tordir/dirspec.h"
-
 namespace torproto {
 namespace {
 
@@ -160,29 +157,8 @@ void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   }
 }
 
-torcrypto::Digest256 SyncAuthority::PackedVoteDigest(uint32_t packer,
-                                                     std::span<const NodeId> authors,
-                                                     std::span<const torcrypto::Body> lists) {
-  torcrypto::Sha256 sha;
-  torbase::Writer prefix;
-  prefix.WriteU32(packer);
-  prefix.WriteU32(static_cast<uint32_t>(authors.size()));
-  sha.Update(prefix.buffer());
-  for (size_t i = 0; i < authors.size(); ++i) {
-    torbase::Writer frame;
-    frame.WriteU32(authors[i]);
-    frame.WriteU32(static_cast<uint32_t>(lists[i].size()));
-    sha.Update(frame.buffer());
-    sha.Update(lists[i].text());
-  }
-  return torcrypto::Digest256(sha.Finish());
-}
-
-const torcrypto::Digest256& SyncAuthority::DigestOf(PackedVote& packed) {
-  if (!packed.digest.has_value()) {
-    packed.digest = PackedVoteDigest(packed.packer, packed.authors, packed.lists);
-  }
-  return *packed.digest;
+const torcrypto::Digest256& SyncAuthority::DigestOf(const PackedVote& packed) {
+  return memo_->PackedDigest(packed.packer, packed.authors, packed.lists);
 }
 
 torbase::Bytes SyncAuthority::DsPayload(const torcrypto::Digest256& digest) const {
@@ -299,7 +275,7 @@ void SyncAuthority::BeginSignaturePhase() {
   if (agreed->authors.size() > node_count()) {
     return;
   }
-  std::vector<std::shared_ptr<const tordir::VoteDocument>> votes;
+  std::vector<RoundMemo::Vote> votes;
   for (size_t i = 0; i < agreed->authors.size(); ++i) {
     const NodeId author = agreed->authors[i];
     // Agreed lists are usually the authorities' canonical vote bytes, so the
@@ -323,7 +299,7 @@ void SyncAuthority::BeginSignaturePhase() {
       continue;
     }
     if (admission.document->authority == author) {
-      votes.push_back(std::move(admission.document));
+      votes.push_back({admission.body.digest(), std::move(admission.document)});
     }
   }
   outcome_.lists_in_agreed_vote = static_cast<uint32_t>(votes.size());
@@ -332,14 +308,8 @@ void SyncAuthority::BeginSignaturePhase() {
                           " lists; not enough to compute a consensus.");
     return;
   }
-  std::vector<const tordir::VoteDocument*> vote_ptrs;
-  vote_ptrs.reserve(votes.size());
-  for (const auto& vote : votes) {
-    vote_ptrs.push_back(vote.get());
-  }
-  outcome_.consensus = tordir::ComputeConsensus(vote_ptrs, config_.aggregation);
+  outcome_.consensus = Aggregate(std::move(votes), config_.aggregation);
   outcome_.computed_consensus = true;
-  consensus_digest_ = tordir::ConsensusDigest(outcome_.consensus);
 
   const torcrypto::Signature sig = signer_.Sign(consensus_digest_->span());
   signatures_.emplace(id(), sig);

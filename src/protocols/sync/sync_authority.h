@@ -29,9 +29,7 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -74,12 +72,6 @@ class SyncAuthority : public Authority {
   const ProtocolConfig& config() const { return config_; }
   bool finished() const { return finished_; }
 
-  // The Dolev-Strong digest of a packed vote: SHA-256 streamed over its
-  // legacy flat serialization — u32 packer, u32 count, then per list u32
-  // author, u32 length and the list bytes — without materializing it.
-  static torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
-                                               std::span<const torcrypto::Body> lists);
-
   // The designated Dolev-Strong sender.
   static constexpr NodeId kDesignatedSender = 0;
   // Number of relay rounds: f + 1 with f = majority tolerance of 4.
@@ -114,11 +106,11 @@ class SyncAuthority : public Authority {
     uint32_t packer = 0;
     std::vector<NodeId> authors;
     std::vector<torcrypto::Body> lists;
-    // PackedVoteDigest, computed on first use: only the designated sender's
-    // packed vote is ever hashed.
-    std::optional<torcrypto::Digest256> digest;
   };
-  static const torcrypto::Digest256& DigestOf(PackedVote& packed);
+  // The packed vote's Dolev-Strong digest (PackedVoteDigest), through the
+  // round memo: the designated sender's packed vote, the only one any
+  // authority hashes, is hashed once per run, not once per authority.
+  const torcrypto::Digest256& DigestOf(const PackedVote& packed);
 
   ProtocolConfig config_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -34,6 +35,10 @@ double NodeRate(const ScenarioSpec& spec, torbase::NodeId node) {
 void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& protocol,
                    const std::vector<torsim::Actor*>& actors, ScenarioResult& result) {
   tordir::HealthMonitor monitor(spec.authority_count);
+  // An observed digest names the admitted bytes, and equal bytes parse to
+  // equal documents: each distinct vote's bandwidth is summed once per run,
+  // not once per observer.
+  std::map<torcrypto::Digest256, uint64_t> total_bandwidth;
   for (const torsim::Actor* actor : actors) {
     // Per-observer evidence: each actor reports the digest *it* admitted, so
     // an equivocating sender shows up as two digests across observers.
@@ -43,9 +48,13 @@ void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& 
       record.digest = observed.digest;
       record.at_seconds = torbase::ToSeconds(observed.at);
       if (observed.document != nullptr) {
-        for (const tordir::RelayStatus& relay : observed.document->relays) {
-          record.total_bandwidth += relay.bandwidth;
+        const auto [total, fresh] = total_bandwidth.try_emplace(observed.digest, 0);
+        if (fresh) {
+          for (const tordir::RelayStatus& relay : observed.document->relays) {
+            total->second += relay.bandwidth;
+          }
         }
+        record.total_bandwidth = total->second;
       }
       monitor.RecordObservation(actor->id(), record);
     }
@@ -119,7 +128,7 @@ void AnalyzeClientLoad(const ScenarioSpec& spec, const torproto::PublishedConsen
 
   std::vector<torclients::PublishedDocument> documents;
   if (published.document != nullptr) {
-    result.consensus_size_bytes = tordir::SerializeConsensus(*published.document).size();
+    result.consensus_size_bytes = tordir::ConsensusWireSize(*published.document);
     if (spec.previous_consensus != nullptr) {
       result.consensus_diff_size_bytes =
           tordir::ComputeConsensusDiff(*spec.previous_consensus, *published.document).size();
@@ -361,6 +370,10 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   run_config.dissemination_timeout = spec.dissemination_timeout;
   run_config.two_phase_agreement = spec.two_phase_agreement;
 
+  // One round memo for this run's authorities: they aggregate each distinct
+  // admitted vote set once between them. It is private to this call (never
+  // on the shared Workload), so concurrent cells never share one.
+  const auto memo = std::make_shared<torproto::RoundMemo>();
   std::vector<torsim::Actor*> actors;
   actors.reserve(spec.authority_count);
   for (uint32_t a = 0; a < spec.authority_count; ++a) {
@@ -370,7 +383,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     actors.push_back(harness.AddActor(protocol.MakeAuthority(
         run_config, &directory, a,
         torproto::AuthorityMaterials{workload.votes[a], workload.vote_bodies[a],
-                                     workload.vote_cache, {}, nullptr})));
+                                     workload.vote_cache, {}, nullptr, memo})));
   }
 
   torattack::AttackContext attack_context;

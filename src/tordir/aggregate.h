@@ -29,6 +29,7 @@
 #ifndef SRC_TORDIR_AGGREGATE_H_
 #define SRC_TORDIR_AGGREGATE_H_
 
+#include <compare>
 #include <cstddef>
 #include <vector>
 
@@ -47,6 +48,8 @@ struct AggregationParams {
     }
     return vote_count / 2 + 1;
   }
+
+  auto operator<=>(const AggregationParams&) const = default;
 };
 
 // Aggregates `votes` into a consensus document. Votes must come from distinct

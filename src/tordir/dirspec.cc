@@ -41,6 +41,11 @@ struct TreeDigestSinkBackend {
   void Write(const char* data, size_t n) { hash.Update(data, n); }
 };
 
+struct CountingSinkBackend {
+  size_t bytes = 0;
+  void Write(const char*, size_t n) { bytes += n; }
+};
+
 template <typename Sink>
 void AppendU64(Sink& sink, uint64_t value) {
   char* scratch = sink.Scratch(20);
@@ -1067,6 +1072,15 @@ torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus) {
   WriteConsensusUnsigned(sink, consensus);
   sink.Flush();
   return torcrypto::Digest256(hash.Finish());
+}
+
+size_t ConsensusWireSize(const ConsensusDocument& consensus) {
+  CountingSinkBackend backend;
+  BufferedTextSink<CountingSinkBackend> sink(backend);
+  WriteConsensusUnsigned(sink, consensus);
+  WriteSignatureLines(sink, consensus.signatures);
+  sink.Flush();
+  return backend.bytes;
 }
 
 torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,

@@ -62,6 +62,9 @@ torbase::Result<ConsensusDocument> ParseConsensus(const std::string& text,
 // Digest of the unsigned consensus body (what signatures cover).
 torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus);
 
+// SerializeConsensus(consensus).size(), counted without building the text.
+size_t ConsensusWireSize(const ConsensusDocument& consensus);
+
 // --- tree digests ----------------------------------------------------------
 // Parallel-friendly counterparts of VoteDigest/ConsensusDigest over the same
 // canonical serialized bytes, using the fixed "sha256-tree-v1" shape

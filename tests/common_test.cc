@@ -40,6 +40,20 @@ TEST(BytesTest, HexDecodeRejectsOddLength) { EXPECT_FALSE(HexDecode("abc").has_v
 
 TEST(BytesTest, HexDecodeRejectsNonHex) { EXPECT_FALSE(HexDecode("zz").has_value()); }
 
+TEST(BytesTest, ParseDecimalAcceptsWholeUnsignedNumbers) {
+  EXPECT_EQ(ParseDecimal<size_t>("0"), 0u);
+  EXPECT_EQ(ParseDecimal<size_t>("8000"), 8000u);
+  EXPECT_EQ(ParseDecimal<unsigned>("4294967295"), 4294967295u);
+}
+
+TEST(BytesTest, ParseDecimalRejectsSignsGarbageAndOverflow) {
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "12abc", "abc", "0x10", "1.5"}) {
+    EXPECT_FALSE(ParseDecimal<size_t>(text).has_value()) << '"' << text << '"';
+  }
+  EXPECT_FALSE(ParseDecimal<unsigned>("4294967296").has_value());
+  EXPECT_FALSE(ParseDecimal<size_t>("99999999999999999999999").has_value());
+}
+
 TEST(BytesTest, StringConversionRoundTrip) {
   const std::string s = "hello tor";
   EXPECT_EQ(StringOfBytes(BytesOfString(s)), s);

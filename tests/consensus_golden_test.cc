@@ -80,6 +80,26 @@ TEST(ConsensusGoldenTest, TreeDigestsMatchPinnedRoots) {
   }
 }
 
+// The analysis path sizes published consensuses by counting the serializer's
+// output instead of building it; the count must be the serialized length,
+// signature lines included.
+TEST(ConsensusGoldenTest, WireSizeMatchesSerializedSize) {
+  for (const GoldenCase& c : kGoldenCases) {
+    ConsensusDocument consensus = GoldenConsensus(c);
+    EXPECT_EQ(ConsensusWireSize(consensus), SerializeConsensus(consensus).size())
+        << "relays=" << c.relay_count;
+    for (uint32_t signer = 0; signer < c.authority_count; ++signer) {
+      torcrypto::Signature sig;
+      sig.signer = signer;
+      sig.bytes.fill(static_cast<uint8_t>(0x11 * signer));
+      consensus.signatures.push_back(sig);
+    }
+    EXPECT_EQ(ConsensusWireSize(consensus), SerializeConsensus(consensus).size())
+        << "relays=" << c.relay_count << " signed";
+  }
+  EXPECT_EQ(ConsensusWireSize(ConsensusDocument{}), SerializeConsensus(ConsensusDocument{}).size());
+}
+
 TEST(ConsensusGoldenTest, SerializedConsensusRoundTripsAtScale) {
   const ConsensusDocument consensus = GoldenConsensus(kGoldenCases[2]);  // 1k relays
   auto parsed = ParseConsensus(SerializeConsensus(consensus));

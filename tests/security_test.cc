@@ -335,7 +335,7 @@ struct BodyWorkload {
   }
 
   torproto::AuthorityMaterials Honest(NodeId id) const {
-    return torproto::AuthorityMaterials{votes[id], bodies[id], cache, {}, nullptr};
+    return torproto::AuthorityMaterials{votes[id], bodies[id], cache, {}, nullptr, nullptr};
   }
   uint64_t period_start() const { return votes[0]->valid_after; }
 };

@@ -10,7 +10,7 @@
 #include "src/common/serialize.h"
 #include "src/common/time.h"
 #include "src/crypto/body.h"
-#include "src/protocols/sync/sync_authority.h"
+#include "src/protocols/authority.h"
 #include "src/sim/actor.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/network.h"
@@ -591,9 +591,9 @@ TEST(MessageBodyTest, StreamedPackedVoteDigestMatchesLegacySerialization) {
     packed.WriteU32(authors[i]);
     packed.WriteString(lists[i].text());
   }
-  EXPECT_EQ(torproto::SyncAuthority::PackedVoteDigest(4, authors, lists),
+  EXPECT_EQ(torproto::PackedVoteDigest(4, authors, lists),
             torcrypto::Digest256::Of(packed.buffer()));
-  EXPECT_NE(torproto::SyncAuthority::PackedVoteDigest(5, authors, lists),
+  EXPECT_NE(torproto::PackedVoteDigest(5, authors, lists),
             torcrypto::Digest256::Of(packed.buffer()));
 }
 
