@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: the
 // simulator's per-event schedule/cancel/fire path, SHA-256, HMAC signatures,
 // dir-spec serialization/parsing and the Figure-2 aggregation algorithm.
-// These are the operations that dominate the wall-clock cost of the
-// experiment harness.
+// These are the operations that dominate the wall-clock cost of a scenario
+// run.
 #include <benchmark/benchmark.h>
 
 #include "src/attack/ddos.h"

@@ -317,7 +317,7 @@ CodecMicro MeasureCodec(bool quick) {
 
     const auto digest_start = Clock::now();
     for (int i = 0; i < rounds; ++i) {
-      benchmark_sink += tordir::VoteDigest(vote).bytes()[0];
+      benchmark_sink = tordir::VoteDigest(vote).bytes()[0];
     }
     const double digest_seconds = SecondsSince(digest_start);
 
@@ -505,12 +505,12 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
   const int flat_rounds = quick ? 40 : 200;
   micro.scalar_mb_per_second = time_flat(
       [&buffer] {
-        benchmark_sink += torcrypto::Sha256DigestForBackend(
+        benchmark_sink = torcrypto::Sha256DigestForBackend(
             torcrypto::Sha256Backend::kScalar, std::span<const uint8_t>(buffer))[0];
       },
       flat_rounds);
   micro.dispatched_mb_per_second = time_flat(
-      [&buffer] { benchmark_sink += torcrypto::Sha256Digest(std::span<const uint8_t>(buffer))[0]; },
+      [&buffer] { benchmark_sink = torcrypto::Sha256Digest(std::span<const uint8_t>(buffer))[0]; },
       flat_rounds);
   micro.batch_mb_per_second = 8.0 * time_flat(
       [&buffer] {
@@ -518,7 +518,7 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
         for (int lane = 0; lane < 8; ++lane) {
           batch.Add(std::span<const uint8_t>(buffer));
         }
-        benchmark_sink += batch.Finish()[0][0];
+        benchmark_sink = batch.Finish()[0][0];
       },
       flat_rounds / 8 + 1);
 
@@ -549,13 +549,13 @@ HashingMicro MeasureHashing(bool quick, unsigned threads) {
     HashingPoint point;
     point.relays = relays;
     point.tree_serial_mb_per_second =
-        time_digest([&vote] { benchmark_sink += tordir::TreeVoteDigest(vote).bytes()[0]; });
+        time_digest([&vote] { benchmark_sink = tordir::TreeVoteDigest(vote).bytes()[0]; });
     point.tree_parallel_mb_per_second = time_digest(
-        [&vote, &pool] { benchmark_sink += tordir::TreeVoteDigest(vote, &pool).bytes()[0]; });
+        [&vote, &pool] { benchmark_sink = tordir::TreeVoteDigest(vote, &pool).bytes()[0]; });
     if (relays == 8000) {
       micro.scalar_vote_digest_mb_per_second = time_digest([&text] {
-        benchmark_sink += torcrypto::Sha256DigestForBackend(torcrypto::Sha256Backend::kScalar,
-                                                            std::string_view(text))[0];
+        benchmark_sink = torcrypto::Sha256DigestForBackend(torcrypto::Sha256Backend::kScalar,
+                                                           std::string_view(text))[0];
       });
       const double fast = std::max(point.tree_serial_mb_per_second,
                                    point.tree_parallel_mb_per_second);

@@ -17,11 +17,9 @@
 
 #include "src/common/stats.h"
 #include "src/common/table.h"
-#include "src/metrics/experiment.h"
+#include "src/scenario/runner.h"
 
 namespace {
-
-using tormetrics::ExperimentConfig;
 
 const std::vector<std::string> kProtocols = {"current", "synchronous", "icps"};
 
@@ -36,12 +34,15 @@ struct TrafficSplit {
   double control_bytes = 0;
 };
 
-TrafficSplit Run(const std::string& protocol, uint32_t n, size_t relays) {
-  ExperimentConfig config;
-  config.protocol = protocol;
-  config.authority_count = n;
-  config.relay_count = relays;
-  const auto result = tormetrics::RunExperiment(config);
+// Every run shares one runner, so the three protocols at a grid point share
+// one generated workload.
+TrafficSplit Run(torscenario::ScenarioRunner& runner, const std::string& protocol, uint32_t n,
+                 size_t relays) {
+  torscenario::ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.authority_count = n;
+  spec.relay_count = relays;
+  const auto result = runner.Run(spec);
   TrafficSplit split;
   for (const auto& [message_kind, bytes] : result.bytes_by_kind) {
     if (IsDocumentKind(message_kind)) {
@@ -57,6 +58,7 @@ TrafficSplit Run(const std::string& protocol, uint32_t n, size_t relays) {
 
 int main() {
   std::printf("=== Table 1: measured communication complexity ===\n\n");
+  torscenario::ScenarioRunner runner;
 
   std::printf("Total bytes per run (n = 9, sweeping document size via relay count):\n");
   const std::vector<size_t> relay_grid = {500, 1000, 2000, 4000};
@@ -65,7 +67,7 @@ int main() {
   for (size_t relays : relay_grid) {
     std::vector<std::string> row = {torbase::Table::Int(static_cast<long long>(relays))};
     for (const std::string& protocol : kProtocols) {
-      const auto split = Run(protocol, 9, relays);
+      const auto split = Run(runner, protocol, 9, relays);
       doc_bytes_by_d[protocol].push_back(split.document_bytes);
       row.push_back(torbase::Table::Num((split.document_bytes + split.control_bytes) / 1e6, 1));
     }
@@ -93,7 +95,7 @@ int main() {
     std::vector<std::string> row = {torbase::Table::Int(n)};
     std::vector<std::string> ctrl_cells;
     for (const std::string& protocol : kProtocols) {
-      const auto split = Run(protocol, n, 800);
+      const auto split = Run(runner, protocol, n, 800);
       doc_by_n[protocol].push_back(split.document_bytes);
       ctrl_by_n[protocol].push_back(split.control_bytes);
       row.push_back(torbase::Table::Num(split.document_bytes / 1e6, 1));

@@ -107,6 +107,7 @@ class WindowedAttack : public AttackSchedule {
   void Describe(torbase::Writer& writer) const override;
 
   std::vector<AttackWindow>& windows() { return windows_; }
+  const std::vector<AttackWindow>& windows() const { return windows_; }
 
  private:
   std::vector<AttackWindow> windows_;

@@ -1,8 +1,10 @@
 #include "src/scenario/runner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -232,40 +234,6 @@ std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::BuildWorkload(
   return workload;
 }
 
-std::shared_ptr<const ScenarioRunner::Workload> ScenarioRunner::GetWorkload(
-    const ScenarioSpec& spec) {
-  const WorkloadKey key{spec.relay_count, spec.seed, spec.authority_count};
-  std::promise<std::shared_ptr<const Workload>> promise;
-  WorkloadFuture future;
-  bool build = false;
-  {
-    std::lock_guard<std::mutex> lock(workloads_mutex_);
-    const auto it = workloads_.find(key);
-    if (it != workloads_.end()) {
-      // Built, or in flight on another thread — either way one build serves
-      // everyone, so this is a hit (misses == builds stays exact).
-      ++cache_hits_;
-      future = it->second;
-    } else {
-      ++cache_misses_;
-      future = promise.get_future().share();
-      workloads_[key] = future;
-      build = true;
-    }
-  }
-  if (!build) {
-    // Blocks only while the owning thread is still inside BuildWorkload.
-    return future.get();
-  }
-  // Generate outside the lock: workload construction is seconds of CPU at
-  // large relay counts and depends only on the key. Distinct keys generate
-  // concurrently; a second thread missing this key while we build finds the
-  // pending future above and shares this build instead of paying its own.
-  auto workload = BuildWorkload(spec);
-  promise.set_value(workload);
-  return workload;
-}
-
 size_t ScenarioRunner::workload_cache_hits() const {
   std::lock_guard<std::mutex> lock(workloads_mutex_);
   return cache_hits_;
@@ -306,41 +274,205 @@ void ScenarioRunner::ClearResultMemo() {
   results_.clear();
 }
 
-ScenarioResult ScenarioRunner::Run(const ScenarioSpec& spec) { return Run(spec, InspectFn()); }
-
 ScenarioResult ScenarioRunner::Run(const ScenarioSpec& spec, const InspectFn& inspect) {
-  // The workload cache is probed before the memo so its telemetry counts the
-  // same probes at any thread count and with the memo on or off (the parallel
-  // sweep resolves workloads for every cell too).
-  const std::shared_ptr<const Workload> workload = GetWorkload(spec);
-  // Inspected runs bypass the memo entirely: the hook needs a live harness,
-  // and whatever it observes is invisible to the digest.
-  if (!memoize_ || inspect) {
-    return RunWithWorkload(spec, *workload, inspect);
+  return std::move(Execute(std::span(&spec, 1), /*threads=*/1, inspect).front());
+}
+
+std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs,
+                                                  const SweepOptions& options) {
+  // No point spinning up more workers than cells.
+  const unsigned threads = std::min<unsigned>(
+      options.threads == 0 ? torbase::ThreadPool::DefaultThreads() : options.threads,
+      static_cast<unsigned>(specs.size()));
+  return Execute(specs, threads, InspectFn());
+}
+
+std::vector<ScenarioResult> ScenarioRunner::Execute(std::span<const ScenarioSpec> specs,
+                                                    unsigned threads, const InspectFn& inspect) {
+  std::optional<torbase::ThreadPool> pool;
+  if (threads > 1) {
+    pool.emplace(threads);
   }
-  const torcrypto::Digest256 digest = SpecDigest(spec);
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = results_.find(digest);
-    if (it != results_.end()) {
-      ++memo_hits_;
-      return *it->second;
+  const auto for_each = [&pool](size_t n, const std::function<void(size_t)>& body) {
+    if (pool.has_value()) {
+      pool->ParallelFor(n, body);
+    } else {
+      for (size_t j = 0; j < n; ++j) {
+        body(j);
+      }
     }
-    ++memo_misses_;
+  };
+
+  // 1. Resolve workloads. The cache probe happens serially in spec order, so
+  // telemetry counts the same at any thread count (the first occurrence of an
+  // uncached key is the miss, repeats are hits), with the memo on or off.
+  // Pending futures are published under the lock before anything builds, so
+  // a concurrent Execute missing the same key joins this build instead of
+  // duplicating it. The builds themselves — generation, serialization,
+  // digesting and VoteCache, independent per key — run on the pool when
+  // there is one; pool threads intern relay strings concurrently, which the
+  // string pool's lock-free index keeps race-free (ROADMAP threading
+  // contract). Every build this call owns finishes before it waits on any
+  // other call's, so concurrent calls cannot deadlock.
+  std::vector<WorkloadFuture> futures(specs.size());
+  std::vector<size_t> build_indexes;  // first spec index per missing key
+  std::deque<std::promise<std::shared_ptr<const Workload>>> promises;
+  {
+    std::lock_guard<std::mutex> lock(workloads_mutex_);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const WorkloadKey key{specs[i].relay_count, specs[i].seed, specs[i].authority_count};
+      if (const auto it = workloads_.find(key); it != workloads_.end()) {
+        ++cache_hits_;  // built, in flight elsewhere, or earlier in this call
+        futures[i] = it->second;
+      } else {
+        ++cache_misses_;
+        build_indexes.push_back(i);
+        promises.emplace_back();
+        futures[i] = promises.back().get_future().share();
+        workloads_[key] = futures[i];
+      }
+    }
   }
-  ScenarioResult result = RunWithWorkload(spec, *workload, InspectFn());
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  // First publication wins and entries never mutate. Two threads can miss the
-  // same digest concurrently (wasted work, never corruption — both results
-  // are bit-identical by the purity contract); everyone returns the
-  // published entry so repeat callers see one value.
-  return *results_
-              .emplace(digest, std::make_shared<const ScenarioResult>(std::move(result)))
-              .first->second;
+  for_each(build_indexes.size(), [&specs, &build_indexes, &promises](size_t j) {
+    promises[j].set_value(BuildWorkload(specs[build_indexes[j]]));
+  });
+  std::vector<std::shared_ptr<const Workload>> workloads(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    workloads[i] = futures[i].get();
+  }
+
+  // 2. Probe the memo, serially in spec order for the same reason: a digest
+  // already published is a hit, the first occurrence of a new digest is the
+  // miss that runs, and repeats within this call are hits served by that one
+  // run. Inspected cells bypass the memo entirely: the hook needs a live
+  // harness, and whatever it observes is invisible to the digest.
+  std::vector<ScenarioResult> results(specs.size());
+  std::vector<torcrypto::Digest256> digests;
+  std::vector<size_t> run_indexes;  // cells that actually simulate
+  std::vector<size_t> duplicates;   // cells served by an earlier cell's run
+  if (memoize_ && !inspect) {
+    digests.resize(specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      digests[i] = SpecDigest(specs[i]);
+    }
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    std::set<torcrypto::Digest256> pending;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (const auto it = results_.find(digests[i]); it != results_.end()) {
+        ++memo_hits_;
+        results[i] = *it->second;
+      } else if (pending.insert(digests[i]).second) {
+        ++memo_misses_;
+        run_indexes.push_back(i);
+      } else {
+        ++memo_hits_;  // duplicate digest in this call: simulated once
+        duplicates.push_back(i);
+      }
+    }
+  } else {
+    run_indexes.resize(specs.size());
+    std::iota(run_indexes.begin(), run_indexes.end(), size_t{0});
+  }
+
+  // 3. Run the misses. On the calling thread a cell runs the caller's spec in
+  // place, so the caller's attack schedule holds the run's history afterwards.
+  // On a pool each cell gets a private copy with a cloned schedule: specs may
+  // share one schedule object, but Install/history are mutable per-run state
+  // that concurrent cells must not share. Results stay bit-identical — a
+  // clone runs exactly as the original would after its per-run
+  // ClearHistory().
+  std::vector<ScenarioSpec> clones;
+  if (pool.has_value()) {
+    clones.reserve(run_indexes.size());
+    for (const size_t i : run_indexes) {
+      clones.push_back(specs[i]);
+      if (clones.back().attack != nullptr) {
+        clones.back().attack = clones.back().attack->Clone();
+      }
+    }
+  }
+  for_each(run_indexes.size(), [&](size_t j) {
+    const size_t i = run_indexes[j];
+    results[i] = RunWithWorkload(pool.has_value() ? clones[j] : specs[i], *workloads[i], inspect);
+  });
+
+  // 4. Publish serially in first-appearance order; entries are immutable once
+  // published (a concurrent Execute may have published the same digest
+  // meanwhile — its entry wins and is bit-identical by purity). Duplicate
+  // cells are then filled from the published entries.
+  if (!digests.empty()) {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    for (const size_t i : run_indexes) {
+      results_.emplace(digests[i], std::make_shared<const ScenarioResult>(results[i]));
+    }
+    for (const size_t i : duplicates) {
+      results[i] = *results_.at(digests[i]);
+    }
+  }
+  return results;
+}
+
+torbase::Result<double> ScenarioRunner::FindBandwidthRequirement(const ScenarioSpec& base,
+                                                                 uint32_t victim_count,
+                                                                 double lo_bps, double hi_bps,
+                                                                 int probes) {
+  // The probe clamp joins (not replaces) a standing windowed attack.
+  std::vector<torattack::AttackWindow> standing;
+  if (base.attack != nullptr) {
+    const auto* windowed = dynamic_cast<const torattack::WindowedAttack*>(base.attack.get());
+    if (windowed == nullptr) {
+      return torbase::Status::InvalidArgument(
+          "bandwidth search can only join a windowed attack, got '" +
+          std::string(base.attack->name()) + "'");
+    }
+    standing = windowed->windows();
+  }
+  // Invariant: the protocol fails at lo and succeeds at hi. If it already
+  // succeeds at lo (tiny relay counts), report lo; if it fails even at hi,
+  // report hi as a lower bound.
+  auto probe = [&](double bandwidth) {
+    ScenarioSpec spec = base;
+    torattack::AttackWindow window;
+    window.targets = torattack::FirstTargets(victim_count);
+    window.start = 0;
+    window.end = base.horizon;
+    window.available_bps = bandwidth;
+    std::vector<torattack::AttackWindow> windows = standing;
+    windows.push_back(std::move(window));
+    spec.attack = std::make_shared<torattack::WindowedAttack>(std::move(windows));
+    return Run(spec).succeeded;
+  };
+  // The probes lean on the result memo: re-probing any bandwidth the search
+  // already visited — including the confirmation of the returned requirement
+  // — is a memo hit, not a re-simulation. Drivers surface the redundancy via
+  // result_memo_hits().
+  if (probe(lo_bps)) {
+    return lo_bps;
+  }
+  if (!probe(hi_bps)) {
+    return hi_bps;  // lower bound only; nothing succeeded, nothing to confirm
+  }
+  double lo = lo_bps;
+  double hi = hi_bps;
+  for (int i = 0; i < probes; ++i) {
+    const double mid = (lo + hi) / 2.0;
+    if (probe(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  // Re-assert the invariant on the value we return: `hi` was probed when it
+  // became the upper bracket, so this replays from the memo and aborts the
+  // search (loudly, in debug) if the protocol does not actually succeed there.
+  const bool confirmed = probe(hi);
+  assert(confirmed && "bandwidth requirement search lost its invariant");
+  (void)confirmed;
+  return hi;
 }
 
 ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
-                                               const InspectFn& inspect) const {
+                                               const InspectFn& inspect) {
   const torproto::DirectoryProtocol& base_protocol = torproto::GetProtocol(spec.protocol);
   // Byzantine cells wrap the registered protocol in the faulty-materials
   // layer; honest cells run it directly. The wrapper only substitutes each
@@ -485,143 +617,6 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
     inspect(harness, actors);
   }
   return result;
-}
-
-std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) {
-    results.push_back(Run(spec));
-  }
-  return results;
-}
-
-std::vector<ScenarioResult> ScenarioRunner::Sweep(const std::vector<ScenarioSpec>& specs,
-                                                  const SweepOptions& options) {
-  // No point spinning up more workers than cells.
-  const unsigned threads = std::min<unsigned>(
-      options.threads == 0 ? torbase::ThreadPool::DefaultThreads() : options.threads,
-      static_cast<unsigned>(specs.size()));
-  if (threads <= 1 || specs.size() <= 1) {
-    return Sweep(specs);
-  }
-
-  torbase::ThreadPool pool(threads);
-
-  // Materialize workloads for every cell before any cell runs. The cache
-  // probe happens serially in spec order so telemetry counts exactly what a
-  // serial sweep records (first occurrence of an uncached key is the miss,
-  // repeats are hits); the cache-missing workloads themselves — generation,
-  // serialization, digesting and VoteCache build, independent per key — are
-  // then built on the sweep's thread pool. The pending futures are published
-  // serially in first-appearance order, so the cache state is identical to a
-  // serial sweep's (and concurrent GetWorkload callers on a shared runner
-  // join these builds instead of duplicating them). Pool threads intern
-  // relay strings concurrently; the string pool's lock-free index keeps that
-  // race-free and ids never influence results (ROADMAP threading contract).
-  std::vector<WorkloadFuture> futures(specs.size());
-  std::vector<size_t> build_spec_indexes;  // first spec index per missing key
-  std::deque<std::promise<std::shared_ptr<const Workload>>> promises;
-  {
-    std::lock_guard<std::mutex> lock(workloads_mutex_);
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const WorkloadKey key{specs[i].relay_count, specs[i].seed, specs[i].authority_count};
-      if (const auto it = workloads_.find(key); it != workloads_.end()) {
-        ++cache_hits_;  // built, in flight elsewhere, or earlier in this sweep
-        futures[i] = it->second;
-      } else {
-        ++cache_misses_;
-        build_spec_indexes.push_back(i);
-        promises.emplace_back();
-        futures[i] = promises.back().get_future().share();
-        workloads_[key] = futures[i];
-      }
-    }
-  }
-  if (!build_spec_indexes.empty()) {
-    pool.ParallelFor(build_spec_indexes.size(),
-                     [this, &specs, &build_spec_indexes, &promises](size_t j) {
-                       promises[j].set_value(BuildWorkload(specs[build_spec_indexes[j]]));
-                     });
-  }
-  std::vector<std::shared_ptr<const Workload>> workloads(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    workloads[i] = futures[i].get();
-  }
-
-  // Memo probe, serial in spec order — the same discipline as the workload
-  // cache, so hit/miss telemetry is exactly what a serial sweep records: a
-  // digest already published is a hit, the first occurrence of a new digest
-  // is the miss that runs, and repeats within this sweep are hits served by
-  // that one run.
-  enum : char { kRun = 0, kMemoized = 1, kDuplicate = 2 };
-  std::vector<ScenarioResult> results(specs.size());
-  std::vector<char> cell_state(specs.size(), kRun);
-  std::vector<torcrypto::Digest256> digests;
-  std::vector<size_t> run_indexes;  // cells that actually simulate
-  if (memoize_) {
-    digests.resize(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      digests[i] = SpecDigest(specs[i]);
-    }
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    std::set<torcrypto::Digest256> pending;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (const auto it = results_.find(digests[i]); it != results_.end()) {
-        ++memo_hits_;
-        results[i] = *it->second;
-        cell_state[i] = kMemoized;
-      } else if (pending.insert(digests[i]).second) {
-        ++memo_misses_;
-        run_indexes.push_back(i);
-      } else {
-        ++memo_hits_;  // duplicate digest in this sweep: simulated once
-        cell_state[i] = kDuplicate;
-      }
-    }
-  } else {
-    run_indexes.resize(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      run_indexes[i] = i;
-    }
-  }
-
-  // Each running cell gets a private copy of the spec with a cloned attack
-  // schedule: specs may share one schedule object (cheap for serial sweeps),
-  // but Install/history are mutable per-run state that concurrent cells must
-  // not share. Results stay bit-identical — a clone runs exactly as the
-  // original would after its per-run ClearHistory().
-  std::vector<ScenarioSpec> cells;
-  cells.reserve(run_indexes.size());
-  for (const size_t i : run_indexes) {
-    cells.push_back(specs[i]);
-    if (cells.back().attack != nullptr) {
-      cells.back().attack = cells.back().attack->Clone();
-    }
-  }
-
-  pool.ParallelFor(run_indexes.size(),
-                   [this, &cells, &workloads, &results, &run_indexes](size_t j) {
-                     results[run_indexes[j]] =
-                         RunWithWorkload(cells[j], *workloads[run_indexes[j]], InspectFn());
-                   });
-
-  if (memoize_) {
-    // Publish serially in first-appearance order; entries are immutable once
-    // published (a racing Run on a shared runner may have published the same
-    // digest meanwhile — its entry wins and is bit-identical by purity).
-    // Duplicate cells are then filled from the published entries.
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    for (const size_t i : run_indexes) {
-      results_.emplace(digests[i], std::make_shared<const ScenarioResult>(results[i]));
-    }
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (cell_state[i] == kDuplicate) {
-        results[i] = *results_.at(digests[i]);
-      }
-    }
-  }
-  return results;
 }
 
 }  // namespace torscenario

@@ -1,26 +1,28 @@
-// Executes ScenarioSpecs. One runner owns a workload cache: generating the
-// relay population and the n vote documents (plus their serialized bytes) is
-// the dominant per-cell setup cost in fig10-style grids, and every cell of a
-// bandwidth sweep shares the same (relay_count, seed, authority_count)
-// workload — so the runner generates each workload once and reuses it across
-// runs.
-//
-// Sweeps can run cells in parallel (SweepOptions::threads): the workload
-// cache is probed serially in spec order (so telemetry stays exact), cache-
-// missing workloads are built concurrently on the sweep's thread pool, then
-// each cell runs on a private Simulator/Harness with a per-cell clone of the
-// attack schedule. Parallel results are bit-identical to a serial sweep.
+// Executes ScenarioSpecs; the one way a scenario runs. One runner owns a
+// workload cache: generating the relay population and the n vote documents
+// (plus their serialized bytes) is the dominant per-cell setup cost in
+// fig10-style grids, and every cell of a bandwidth sweep shares the same
+// (relay_count, seed, authority_count) workload — so the runner generates each
+// workload once and reuses it across runs.
 //
 // On top of the workload cache sits a *result memo*: every run is a pure
 // function of its spec (ROADMAP threading contract), so the runner keys
 // finished ScenarioResults by the canonical spec digest
 // (src/scenario/spec_digest.h) and serves repeat specs from the memo instead
-// of re-simulating. The memo follows the workload cache's discipline —
-// serial probe in spec order (telemetry exact at any thread count), misses
-// executed in parallel, results published serially in first-appearance order
-// and immutable once published. This is what makes long fault-calendar
-// timelines cheap: the ~160 identical quiet rounds of a 168-round week
-// collapse into one simulation.
+// of re-simulating. This is what makes long fault-calendar timelines cheap:
+// the ~160 identical quiet rounds of a 168-round week collapse into one
+// simulation.
+//
+// Run, Sweep, RunTimeline and FindBandwidthRequirement all go through one
+// private execution path, Execute: it probes the workload cache serially in
+// spec order (so telemetry stays exact), builds the missing workloads, probes
+// the memo serially in spec order, runs the misses — each on a private
+// Simulator/Harness — and publishes them serially in first-appearance order,
+// immutable once published. With one thread a cell runs the caller's spec in
+// place, attack schedule included (callers may read the schedule afterwards);
+// on a pool (SweepOptions::threads > 1) workloads are built concurrently and
+// each cell runs on a copy with a cloned schedule. Results are bit-identical
+// at any thread count.
 #ifndef SRC_SCENARIO_RUNNER_H_
 #define SRC_SCENARIO_RUNNER_H_
 
@@ -29,10 +31,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/crypto/body.h"
 #include "src/crypto/digest.h"
 #include "src/scenario/scenario.h"
@@ -63,25 +67,38 @@ class ScenarioRunner {
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
-  // Runs one scenario. Deterministic given the spec.
-  ScenarioResult Run(const ScenarioSpec& spec);
-  ScenarioResult Run(const ScenarioSpec& spec, const InspectFn& inspect);
+  // Runs one scenario on the calling thread. Deterministic given the spec.
+  // The run installs spec.attack itself, so the caller's schedule holds the
+  // run's history afterwards; concurrent Runs on one runner are safe when
+  // they share no schedule object. An inspected run always simulates: it
+  // bypasses the result memo.
+  ScenarioResult Run(const ScenarioSpec& spec, const InspectFn& inspect = {});
 
-  // Runs every spec in order, sharing the workload cache across cells.
-  std::vector<ScenarioResult> Sweep(const std::vector<ScenarioSpec>& specs);
-  // Same, distributing cells over `options.threads` workers. Results (and the
-  // workload-cache telemetry) are identical to the serial overload for any
-  // thread count.
+  // Runs every spec, sharing the workload cache and memo across cells and
+  // distributing them over `options.threads` workers. Results (and the cache
+  // and memo telemetry) are identical for any thread count.
   std::vector<ScenarioResult> Sweep(const std::vector<ScenarioSpec>& specs,
-                                    const SweepOptions& options);
+                                    const SweepOptions& options = {});
 
   // Runs a long-horizon fault-calendar timeline (src/scenario/timeline.h):
   // derives one ScenarioSpec per round, fans the rounds onto the sweep pool,
   // then stitches diff chains, authority rejoins, the whole-horizon client
   // plane and recovery metrics in a deterministic serial pass. Bit-identical
   // for any thread count. Defined in timeline.cc.
-  TimelineResult RunTimeline(const TimelineSpec& timeline);
-  TimelineResult RunTimeline(const TimelineSpec& timeline, const SweepOptions& options);
+  TimelineResult RunTimeline(const TimelineSpec& timeline, const SweepOptions& options = {});
+
+  // Binary-searches the minimum per-victim bandwidth (bits/s, within
+  // [lo_bps, hi_bps]) at which `base` still succeeds while the first
+  // `victim_count` authorities are clamped for the whole horizon — the
+  // Figure 7 measurement. `probes` halvings give ~hi/2^probes resolution.
+  // The probe clamp joins the windows of a WindowedAttack in `base.attack`;
+  // any other schedule type is an InvalidArgument error (a standing attack is
+  // never dropped). Every probe goes through Run, so probes share this
+  // runner's workload and memo, and concurrent searches on one runner are
+  // safe and bit-identical to serial ones.
+  torbase::Result<double> FindBandwidthRequirement(const ScenarioSpec& base,
+                                                   uint32_t victim_count, double lo_bps,
+                                                   double hi_bps, int probes = 7);
 
   // Workload-cache telemetry (asserted by tests, reported by benches).
   size_t workload_cache_hits() const;
@@ -122,24 +139,27 @@ class ScenarioRunner {
   };
   using WorkloadKey = std::tuple<size_t, uint64_t, uint32_t>;  // (relays, seed, n)
   // Cache entries are shared_futures so a key can be *in flight*: the first
-  // thread to miss publishes a pending future under the lock and builds; any
-  // other thread missing the same key concurrently finds the future (a hit —
-  // one build, shared) and blocks on it instead of paying a duplicate
-  // multi-second BuildWorkload.
+  // Execute to miss it publishes a pending future under the lock and builds;
+  // a concurrent Execute (another thread's Run on a shared runner) missing
+  // the same key finds the future (a hit — one build, shared) and blocks on it
+  // instead of paying a duplicate multi-second BuildWorkload.
   using WorkloadFuture = std::shared_future<std::shared_ptr<const Workload>>;
 
   // Generates a workload for `spec` without touching the cache or telemetry:
   // pure function of (relay_count, seed, authority_count), safe to call from
-  // pool threads (the parallel sweep builds cache-missing workloads
-  // concurrently; string interning inside is thread-safe and ids never
+  // pool threads (string interning inside is thread-safe and ids never
   // influence results).
-  std::shared_ptr<const Workload> BuildWorkload(const ScenarioSpec& spec);
-  std::shared_ptr<const Workload> GetWorkload(const ScenarioSpec& spec);
-  // The core of Run(): executes `spec` against an already-resolved workload
-  // without touching the cache (the parallel sweep pre-resolves workloads so
-  // concurrent cells never race or double-count telemetry).
-  ScenarioResult RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
-                                 const InspectFn& inspect) const;
+  static std::shared_ptr<const Workload> BuildWorkload(const ScenarioSpec& spec);
+  // The one execution path behind Run and Sweep (see the file comment).
+  // `threads` > 1 runs on a pool of that many workers; otherwise every cell
+  // runs in place on the calling thread. `inspect` (when set) is called for
+  // every cell, and those cells bypass the memo.
+  std::vector<ScenarioResult> Execute(std::span<const ScenarioSpec> specs, unsigned threads,
+                                      const InspectFn& inspect);
+  // Simulates `spec` against an already-resolved workload without touching
+  // the cache, the memo or their telemetry.
+  static ScenarioResult RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
+                                        const InspectFn& inspect);
 
   // Guards the workload cache and its telemetry; cells themselves share no
   // mutable runner state beyond this and the memo below.

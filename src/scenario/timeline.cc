@@ -316,10 +316,6 @@ bool BitIdentical(const TimelineResult& a, const TimelineResult& b) {
          a.rejoin_bytes == b.rejoin_bytes;
 }
 
-TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline) {
-  return RunTimeline(timeline, SweepOptions{});
-}
-
 TimelineResult ScenarioRunner::RunTimeline(const TimelineSpec& timeline,
                                            const SweepOptions& options) {
   const std::vector<ScenarioSpec> specs = BuildTimelineRoundSpecs(timeline);

@@ -42,16 +42,6 @@ const char* HealthAlertName(HealthAlertKind kind) {
   return "?";
 }
 
-void HealthMonitor::RecordVote(torbase::NodeId observer, torbase::NodeId sender,
-                               const torcrypto::Digest256& digest) {
-  SenderStat& stat = senders_[sender];
-  auto [it, inserted] = stat.first_seen.emplace(digest, 0.0);
-  if (!inserted) {
-    it->second = std::min(it->second, 0.0);
-  }
-  received_from_[observer].insert(sender);
-}
-
 void HealthMonitor::RecordObservation(torbase::NodeId observer,
                                       const VoteObservation& observation) {
   SenderStat& stat = senders_[observation.sender];
@@ -61,7 +51,6 @@ void HealthMonitor::RecordObservation(torbase::NodeId observer,
   }
   stat.max_total_bandwidth = std::max(stat.max_total_bandwidth, observation.total_bandwidth);
   stat.first_observed_seconds = EarlierOf(stat.first_observed_seconds, observation.at_seconds);
-  stat.has_bandwidth = true;
   received_from_[observer].insert(observation.sender);
 }
 
@@ -151,7 +140,7 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
   {
     std::vector<uint64_t> totals;
     for (const auto& [sender, stat] : senders_) {
-      if (stat.has_bandwidth && stat.max_total_bandwidth > 0) {
+      if (stat.max_total_bandwidth > 0) {
         totals.push_back(stat.max_total_bandwidth);
       }
     }
@@ -160,7 +149,7 @@ std::vector<HealthAlert> HealthMonitor::Analyze() const {
       const uint64_t median = totals[(totals.size() - 1) / 2];
       if (median > 0) {
         for (const auto& [sender, stat] : senders_) {
-          if (stat.has_bandwidth && stat.max_total_bandwidth / 8 > median) {
+          if (stat.max_total_bandwidth / 8 > median) {
             alerts.push_back(HealthAlert{
                 HealthAlertKind::kBandwidthInflation,
                 {sender},

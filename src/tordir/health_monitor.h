@@ -74,8 +74,7 @@ struct HealthAlert {
   // Simulation time (seconds) of the earliest evidence supporting the alert:
   // the second distinct digest for equivocation, the first rejected message
   // for malformed/replayed votes, the first sighting of an inflated vote.
-  // -1.0 when the alert is about an *absence* (missing votes, no consensus)
-  // or predates evidence timestamps (legacy RecordVote feeds).
+  // -1.0 when the alert is about an *absence* (missing votes, no consensus).
   double first_evidence_seconds = -1.0;
 
   // ScenarioResult carries alerts, so they participate in the parallel
@@ -113,13 +112,9 @@ class HealthMonitor {
  public:
   explicit HealthMonitor(uint32_t authority_count) : authority_count_(authority_count) {}
 
-  // Records that `observer` received a vote from `sender` with `digest`.
-  // Legacy feed: equivalent to RecordObservation with no timestamp or
-  // bandwidth evidence.
-  void RecordVote(torbase::NodeId observer, torbase::NodeId sender,
-                  const torcrypto::Digest256& digest);
-
-  // Records an admitted vote with full evidence.
+  // Records that `observer` admitted `observation`'s vote. A zero
+  // total_bandwidth means no bandwidth evidence: it never enters the
+  // inflation median.
   void RecordObservation(torbase::NodeId observer, const VoteObservation& observation);
 
   // Records that `observer` rejected a vote attributed to `sender` at
@@ -159,7 +154,6 @@ class HealthMonitor {
     std::map<torcrypto::Digest256, double> first_seen;
     uint64_t max_total_bandwidth = 0;
     double first_observed_seconds = -1.0;
-    bool has_bandwidth = false;
   };
   struct RejectStat {
     uint32_t count = 0;

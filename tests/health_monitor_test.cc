@@ -22,7 +22,7 @@ void FillHealthy(HealthMonitor& monitor, uint32_t n) {
   for (torbase::NodeId observer = 0; observer < n; ++observer) {
     for (torbase::NodeId sender = 0; sender < n; ++sender) {
       if (observer != sender) {
-        monitor.RecordVote(observer, sender, VoteDigestOf(sender));
+        monitor.RecordObservation(observer, VoteObservation{sender, VoteDigestOf(sender), 0.0, 0});
       }
     }
     monitor.RecordConsensus(observer, Digest256::Of("consensus"));
@@ -41,7 +41,7 @@ TEST(HealthMonitorTest, DetectsDdosVoteStarvation) {
   for (torbase::NodeId observer = 0; observer < 9; ++observer) {
     for (torbase::NodeId sender = 5; sender < 9; ++sender) {
       if (observer != sender) {
-        monitor.RecordVote(observer, sender, VoteDigestOf(sender));
+        monitor.RecordObservation(observer, VoteObservation{sender, VoteDigestOf(sender), 0.0, 0});
       }
     }
     monitor.RecordConsensus(observer, std::nullopt);
@@ -57,7 +57,7 @@ TEST(HealthMonitorTest, DetectsVoteEquivocation) {
   HealthMonitor monitor(9);
   FillHealthy(monitor, 9);
   // Authority 3 also showed a second vote variant to someone.
-  monitor.RecordVote(7, 3, VoteDigestOf(3, /*variant=*/1));
+  monitor.RecordObservation(7, VoteObservation{3, VoteDigestOf(3, /*variant=*/1), 0.0, 0});
   const auto alerts = monitor.Analyze();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, HealthAlertKind::kVoteEquivocation);
@@ -87,7 +87,7 @@ TEST(HealthMonitorTest, MinorityMissingVotesIsNotAnAlert) {
       if (sender == 0 && observer >= 6) {
         continue;  // observers 6,7,8 miss it
       }
-      partial.RecordVote(observer, sender, VoteDigestOf(sender));
+      partial.RecordObservation(observer, VoteObservation{sender, VoteDigestOf(sender), 0.0, 0});
     }
     partial.RecordConsensus(observer, Digest256::Of("consensus"));
   }
@@ -96,8 +96,8 @@ TEST(HealthMonitorTest, MinorityMissingVotesIsNotAnAlert) {
 
 TEST(HealthMonitorTest, ResetClearsState) {
   HealthMonitor monitor(9);
-  monitor.RecordVote(0, 1, VoteDigestOf(1));
-  monitor.RecordVote(0, 1, VoteDigestOf(1, 1));
+  monitor.RecordObservation(0, VoteObservation{1, VoteDigestOf(1), 0.0, 0});
+  monitor.RecordObservation(0, VoteObservation{1, VoteDigestOf(1, 1), 0.0, 0});
   EXPECT_FALSE(monitor.Analyze().empty());
   monitor.Reset();
   EXPECT_TRUE(monitor.Analyze().empty());

@@ -1,21 +1,24 @@
-// Tests for the experiment driver (src/metrics): the layer every bench relies
-// on. Covers success/latency/byte accounting for all three protocols, the
-// bandwidth-requirement search, and the two-phase agreement plumbing.
+// Tests for whole experiments run through the scenario runner, the layer every
+// bench relies on. Covers success/latency/byte accounting for all three
+// protocols, the bandwidth-requirement search, and the two-phase agreement
+// plumbing. Each run uses a fresh runner unless the test shares one on purpose.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "src/attack/ddos.h"
-#include "src/metrics/experiment.h"
+#include "src/scenario/runner.h"
 
-namespace tormetrics {
+namespace torscenario {
 namespace {
 
 TEST(ExperimentTest, CurrentProtocolHealthyRun) {
-  ExperimentConfig config;
-  config.protocol = "current";
-  config.relay_count = 400;
-  const auto result = RunExperiment(config);
+  ScenarioSpec spec;
+  spec.protocol = "current";
+  spec.relay_count = 400;
+  const auto result = ScenarioRunner().Run(spec);
   EXPECT_TRUE(result.succeeded);
   EXPECT_EQ(result.valid_count, 9u);
   EXPECT_GT(result.latency_seconds, 0.0);
@@ -27,25 +30,26 @@ TEST(ExperimentTest, CurrentProtocolHealthyRun) {
 
 TEST(ExperimentTest, AllThreeProtocolsAgreeOnHealthySuccess) {
   for (const char* protocol : {"current", "synchronous", "icps"}) {
-    ExperimentConfig config;
-    config.protocol = protocol;
-    config.relay_count = 300;
-    const auto result = RunExperiment(config);
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.relay_count = 300;
+    const auto result = ScenarioRunner().Run(spec);
     EXPECT_TRUE(result.succeeded) << protocol;
     EXPECT_EQ(result.valid_count, 9u) << protocol;
   }
 }
 
 TEST(ExperimentTest, FailureYieldsNanLatency) {
-  ExperimentConfig config;
-  config.protocol = "current";
-  config.relay_count = 800;
+  ScenarioSpec spec;
+  spec.protocol = "current";
+  spec.relay_count = 800;
   torattack::AttackWindow attack;
   attack.targets = torattack::FirstTargets(5);
   attack.start = 0;
   attack.end = torbase::Minutes(5);
-  config.attacks.push_back(attack);
-  const auto result = RunExperiment(config);
+  spec.attack = std::make_shared<torattack::WindowedAttack>(
+      std::vector<torattack::AttackWindow>{attack});
+  const auto result = ScenarioRunner().Run(spec);
   EXPECT_FALSE(result.succeeded);
   EXPECT_TRUE(std::isnan(result.latency_seconds));
   EXPECT_TRUE(std::isnan(result.finish_time_seconds));
@@ -54,42 +58,42 @@ TEST(ExperimentTest, FailureYieldsNanLatency) {
 TEST(ExperimentTest, ResultDefaultsToNanNotZero) {
   // The header promises NaN latency/finish on failed runs; a default
   // (unpopulated) result must not masquerade as a zero-latency success.
-  ExperimentResult result;
+  ScenarioResult result;
   EXPECT_FALSE(result.succeeded);
   EXPECT_TRUE(std::isnan(result.latency_seconds));
   EXPECT_TRUE(std::isnan(result.finish_time_seconds));
 }
 
 TEST(ExperimentTest, DeterministicAcrossInvocations) {
-  ExperimentConfig config;
-  config.protocol = "icps";
-  config.relay_count = 250;
-  const auto a = RunExperiment(config);
-  const auto b = RunExperiment(config);
+  ScenarioSpec spec;
+  spec.protocol = "icps";
+  spec.relay_count = 250;
+  const auto a = ScenarioRunner().Run(spec);
+  const auto b = ScenarioRunner().Run(spec);
   EXPECT_EQ(a.succeeded, b.succeeded);
   EXPECT_DOUBLE_EQ(a.latency_seconds, b.latency_seconds);
   EXPECT_EQ(a.total_bytes_sent, b.total_bytes_sent);
 }
 
 TEST(ExperimentTest, SynchronousMovesMoreBytesThanCurrent) {
-  ExperimentConfig config;
-  config.relay_count = 400;
-  config.protocol = "current";
-  const auto current = RunExperiment(config);
-  config.protocol = "synchronous";
-  const auto sync = RunExperiment(config);
+  ScenarioSpec spec;
+  spec.relay_count = 400;
+  spec.protocol = "current";
+  const auto current = ScenarioRunner().Run(spec);
+  spec.protocol = "synchronous";
+  const auto sync = ScenarioRunner().Run(spec);
   // The packed-vote phase replicates every list n more times: ~5-9x traffic.
   EXPECT_GT(sync.total_bytes_sent, 4 * current.total_bytes_sent);
 }
 
 TEST(ExperimentTest, TwoPhaseAgreementIsFasterNeverSlower) {
-  ExperimentConfig config;
-  config.protocol = "icps";
-  config.relay_count = 300;
-  config.two_phase_agreement = false;
-  const auto three_phase = RunExperiment(config);
-  config.two_phase_agreement = true;
-  const auto two_phase = RunExperiment(config);
+  ScenarioSpec spec;
+  spec.protocol = "icps";
+  spec.relay_count = 300;
+  spec.two_phase_agreement = false;
+  const auto three_phase = ScenarioRunner().Run(spec);
+  spec.two_phase_agreement = true;
+  const auto two_phase = ScenarioRunner().Run(spec);
   ASSERT_TRUE(three_phase.succeeded);
   ASSERT_TRUE(two_phase.succeeded);
   EXPECT_LT(two_phase.latency_seconds, three_phase.latency_seconds);
@@ -97,25 +101,26 @@ TEST(ExperimentTest, TwoPhaseAgreementIsFasterNeverSlower) {
 
 TEST(ExperimentTest, SmallerAuthorityCountsWork) {
   for (uint32_t n : {4u, 7u, 13u}) {
-    ExperimentConfig config;
-    config.protocol = "icps";
-    config.authority_count = n;
-    config.relay_count = 150;
-    const auto result = RunExperiment(config);
+    ScenarioSpec spec;
+    spec.protocol = "icps";
+    spec.authority_count = n;
+    spec.relay_count = 150;
+    const auto result = ScenarioRunner().Run(spec);
     EXPECT_TRUE(result.succeeded) << "n = " << n;
     EXPECT_EQ(result.valid_count, n) << "n = " << n;
   }
 }
 
 TEST(ExperimentTest, BandwidthRequirementBracketsAndIsMonotone) {
-  ExperimentConfig config;
-  config.protocol = "current";
-  config.run_limit = torbase::Minutes(15);
+  ScenarioSpec spec;
+  spec.protocol = "current";
+  spec.horizon = torbase::Minutes(15);
 
-  config.relay_count = 800;
-  const double small = FindBandwidthRequirement(config, 5, 0.2e6, 25e6, /*probes=*/5);
-  config.relay_count = 2400;
-  const double large = FindBandwidthRequirement(config, 5, 0.2e6, 25e6, /*probes=*/5);
+  ScenarioRunner runner;
+  spec.relay_count = 800;
+  const double small = *runner.FindBandwidthRequirement(spec, 5, 0.2e6, 25e6, /*probes=*/5);
+  spec.relay_count = 2400;
+  const double large = *runner.FindBandwidthRequirement(spec, 5, 0.2e6, 25e6, /*probes=*/5);
   EXPECT_GT(small, 0.2e6);
   EXPECT_LT(small, 25e6);
   // Requirement grows with the relay count (Figure 7's monotonicity).
@@ -127,14 +132,14 @@ TEST(ExperimentTest, BandwidthRequirementBracketsAndIsMonotone) {
 
 TEST(ExperimentTest, IcpsSucceedsWhereCurrentFails) {
   // The headline comparison as a single assertion pair.
-  ExperimentConfig config;
-  config.relay_count = 1000;
-  config.bandwidth_bps = torsim::MegabitsPerSecond(1);
-  config.protocol = "current";
-  EXPECT_FALSE(RunExperiment(config).succeeded);
-  config.protocol = "icps";
-  EXPECT_TRUE(RunExperiment(config).succeeded);
+  ScenarioSpec spec;
+  spec.relay_count = 1000;
+  spec.bandwidth_bps = torsim::MegabitsPerSecond(1);
+  spec.protocol = "current";
+  EXPECT_FALSE(ScenarioRunner().Run(spec).succeeded);
+  spec.protocol = "icps";
+  EXPECT_TRUE(ScenarioRunner().Run(spec).succeeded);
 }
 
 }  // namespace
-}  // namespace tormetrics
+}  // namespace torscenario

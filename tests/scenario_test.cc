@@ -9,6 +9,8 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/attack/schedule.h"
 #include "src/protocols/directory_protocol.h"
@@ -306,6 +308,94 @@ TEST(ScenarioTest, SweepRunsEveryCellInOrder) {
   }
   EXPECT_EQ(runner.workload_cache_misses(), 1u);
   EXPECT_EQ(runner.workload_cache_hits(), specs.size() - 1);
+}
+
+// --- the one execution path: what Run must keep ------------------------------
+
+TEST(ScenarioRunnerTest, ConcurrentRunsOnASharedRunnerBuildOneWorkload) {
+  // fig7's pattern: several threads call Run on one runner, all on the same
+  // workload key. The first miss builds; the others join that build as hits,
+  // and every result matches a serial run on a runner of its own.
+  std::vector<ScenarioSpec> specs;
+  for (double bw_mbps : {50.0, 10.0, 2.0, 1.0}) {
+    ScenarioSpec spec = SmallSpec("current");
+    spec.bandwidth_bps = bw_mbps * 1e6;
+    torattack::AttackWindow window;
+    window.targets = torattack::FirstTargets(2);
+    window.end = Minutes(5);
+    window.available_bps = bw_mbps * 1e5;
+    // One schedule object per spec: a Run installs the caller's own schedule.
+    spec.attack = std::make_shared<torattack::WindowedAttack>(
+        std::vector<torattack::AttackWindow>{window});
+    specs.push_back(std::move(spec));
+  }
+  std::vector<ScenarioResult> serial;
+  for (const ScenarioSpec& spec : specs) {
+    serial.push_back(ScenarioRunner().Run(spec));
+  }
+
+  ScenarioRunner shared;
+  std::vector<ScenarioResult> concurrent(specs.size());
+  {
+    std::vector<std::jthread> threads;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      threads.emplace_back([&, i] { concurrent[i] = shared.Run(specs[i]); });
+    }
+  }
+  EXPECT_EQ(shared.workload_cache_misses(), 1u);
+  EXPECT_EQ(shared.workload_cache_hits(), specs.size() - 1);
+  EXPECT_EQ(shared.result_memo_misses(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(BitIdentical(serial[i], concurrent[i])) << "spec " << i;
+  }
+}
+
+TEST(ScenarioRunnerTest, InspectedRunOfAMemoizedSpecFiresTheHookAndBypassesTheMemo) {
+  ScenarioRunner runner;
+  const ScenarioSpec spec = SmallSpec("icps");
+  const ScenarioResult memoized = runner.Run(spec);
+  ASSERT_EQ(runner.result_memo_misses(), 1u);
+  ASSERT_EQ(runner.result_memo_size(), 1u);
+
+  size_t inspected_actors = 0;
+  const ScenarioResult inspected =
+      runner.Run(spec, [&](torsim::Harness&, const std::vector<torsim::Actor*>& actors) {
+        inspected_actors = actors.size();
+      });
+  EXPECT_EQ(inspected_actors, spec.authority_count);
+  EXPECT_EQ(runner.result_memo_hits(), 0u);
+  EXPECT_EQ(runner.result_memo_misses(), 1u);
+  EXPECT_EQ(runner.result_memo_size(), 1u);
+  EXPECT_TRUE(BitIdentical(memoized, inspected));
+}
+
+TEST(ScenarioRunnerTest, SerialRunLeavesItsHistoryOnTheCallersSchedule) {
+  // A serial cell runs the caller's spec in place, so callers may read the
+  // schedule they passed in after Run (as the round benchmark does).
+  torattack::AttackWindow window;
+  window.targets = torattack::FirstTargets(5);
+  window.end = Minutes(5);
+  const auto attack = std::make_shared<torattack::WindowedAttack>(
+      std::vector<torattack::AttackWindow>{window});
+  ScenarioSpec spec = SmallSpec("current");
+  spec.attack = attack;
+  ScenarioRunner runner;
+  const ScenarioResult result = runner.Run(spec);
+  ASSERT_FALSE(result.attack_history.empty());
+  EXPECT_EQ(attack->history(), result.attack_history);
+}
+
+TEST(ScenarioRunnerTest, BandwidthSearchRejectsAStandingAttackItCannotJoin) {
+  // The probe clamp can only join windows; dropping a rolling attack would
+  // measure a different scenario than the caller asked for.
+  ScenarioSpec base = SmallSpec("current");
+  base.attack = std::make_shared<torattack::RollingAttack>(torattack::RollingAttackConfig{});
+  ScenarioRunner runner;
+  const auto required = runner.FindBandwidthRequirement(base, /*victim_count=*/5, 0.2e6, 25e6,
+                                                        /*probes=*/2);
+  ASSERT_FALSE(required.ok());
+  EXPECT_EQ(required.status().code(), torbase::StatusCode::kInvalidArgument);
+  EXPECT_EQ(runner.workload_cache_misses(), 0u);  // nothing ran
 }
 
 // Per-field diagnostics for a BitIdentical failure; the authoritative
