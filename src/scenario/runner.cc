@@ -1,7 +1,6 @@
 #include "src/scenario/runner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <map>
 #include <numeric>
@@ -416,16 +415,13 @@ torbase::Result<double> ScenarioRunner::FindBandwidthRequirement(const ScenarioS
                                                                  uint32_t victim_count,
                                                                  double lo_bps, double hi_bps,
                                                                  int probes) {
-  // The probe clamp joins (not replaces) a standing windowed attack.
-  std::vector<torattack::AttackWindow> standing;
-  if (base.attack != nullptr) {
-    const auto* windowed = dynamic_cast<const torattack::WindowedAttack*>(base.attack.get());
-    if (windowed == nullptr) {
-      return torbase::Status::InvalidArgument(
-          "bandwidth search can only join a windowed attack, got '" +
-          std::string(base.attack->name()) + "'");
-    }
-    standing = windowed->windows();
+  // The probe clamp joins (not replaces) a standing windowed attack: each
+  // probe runs a Clone() of it with the clamp appended.
+  const auto* windowed = dynamic_cast<const torattack::WindowedAttack*>(base.attack.get());
+  if (base.attack != nullptr && windowed == nullptr) {
+    return torbase::Status::InvalidArgument(
+        "bandwidth search can only join a windowed attack, got '" +
+        std::string(base.attack->name()) + "'");
   }
   // Invariant: the protocol fails at lo and succeeds at hi. If it already
   // succeeds at lo (tiny relay counts), report lo; if it fails even at hi,
@@ -437,9 +433,10 @@ torbase::Result<double> ScenarioRunner::FindBandwidthRequirement(const ScenarioS
     window.start = 0;
     window.end = base.horizon;
     window.available_bps = bandwidth;
-    std::vector<torattack::AttackWindow> windows = standing;
-    windows.push_back(std::move(window));
-    spec.attack = std::make_shared<torattack::WindowedAttack>(std::move(windows));
+    spec.attack = windowed != nullptr ? windowed->Clone()
+                                      : std::make_shared<torattack::WindowedAttack>(
+                                            std::vector<torattack::AttackWindow>{});
+    static_cast<torattack::WindowedAttack&>(*spec.attack).windows().push_back(std::move(window));
     return Run(spec).succeeded;
   };
   // The probes lean on the result memo: re-probing any bandwidth the search
@@ -463,11 +460,12 @@ torbase::Result<double> ScenarioRunner::FindBandwidthRequirement(const ScenarioS
     }
   }
   // Re-assert the invariant on the value we return: `hi` was probed when it
-  // became the upper bracket, so this replays from the memo and aborts the
-  // search (loudly, in debug) if the protocol does not actually succeed there.
-  const bool confirmed = probe(hi);
-  assert(confirmed && "bandwidth requirement search lost its invariant");
-  (void)confirmed;
+  // became the upper bracket, so this replays from the memo (or, memo off,
+  // re-simulates) and fails the search if the protocol does not succeed there.
+  if (!probe(hi)) {
+    return torbase::Status::Internal("bandwidth requirement search lost its invariant: " +
+                                     std::to_string(hi) + " bps succeeded once, then failed");
+  }
   return hi;
 }
 

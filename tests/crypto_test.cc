@@ -3,16 +3,19 @@
 // signature scheme's unforgeability-by-construction properties.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha256_batch.h"
+#include "src/crypto/sha256_internal.h"
 #include "src/crypto/sha256_tree.h"
 #include "src/crypto/signature.h"
 
@@ -188,6 +191,90 @@ TEST(Sha256DeathTest, DoubleFinishAsserts) {
   EXPECT_DEATH(ctx.Finish(), "Finish");
 }
 #endif  // GTEST_HAS_DEATH_TEST && !NDEBUG
+
+// --- hardware cores, driven directly ---------------------------------------
+
+// The cross-checks above start every core from the IV on string-aligned
+// buffers. These drive the block kernels themselves from seeded random
+// mid-stream states, at every source offset within a block and over 1-33
+// blocks, against the scalar golden core.
+#if TORCRYPTO_HAVE_X86_SIMD
+using State = std::array<uint32_t, 8>;
+
+State RandomState(torbase::Rng& rng) {
+  State state;
+  for (uint32_t& word : state) {
+    word = static_cast<uint32_t>(rng.NextU64());
+  }
+  return state;
+}
+
+std::vector<uint8_t> RandomBytes(torbase::Rng& rng, size_t length) {
+  std::vector<uint8_t> bytes(length);
+  for (uint8_t& byte : bytes) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  return bytes;
+}
+
+constexpr size_t kMaxKernelBlocks = 33;
+#endif  // TORCRYPTO_HAVE_X86_SIMD
+
+TEST(Sha256KernelTest, ShaNiMatchesScalarFromRandomStatesAtEveryOffset) {
+#if TORCRYPTO_HAVE_X86_SIMD
+  if (!internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  torbase::Rng rng(16);
+  const std::vector<uint8_t> buffer = RandomBytes(rng, 63 + kMaxKernelBlocks * 64);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    for (size_t blocks = 1; blocks <= kMaxKernelBlocks; ++blocks) {
+      State scalar = RandomState(rng);
+      State shani = scalar;
+      internal::ProcessBlocksScalar(scalar.data(), buffer.data() + offset, blocks);
+      internal::ProcessBlocksShaNi(shani.data(), buffer.data() + offset, blocks);
+      ASSERT_EQ(shani, scalar) << "offset " << offset << " blocks " << blocks;
+    }
+  }
+#else
+  GTEST_SKIP() << "hardware cores compiled out";
+#endif
+}
+
+TEST(Sha256KernelTest, Avx2LanesMatchScalarAtTheirOwnOffsets) {
+#if TORCRYPTO_HAVE_X86_SIMD
+  if (!internal::CpuHasAvx2()) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  // Each lane reads its own buffer, allocated to exactly its offset plus the
+  // absorbed blocks plus a lane-specific slack, so lanes never share an
+  // address pattern and a lane that over-reads its own span shows under ASan.
+  torbase::Rng rng(17);
+  for (size_t blocks = 1; blocks <= kMaxKernelBlocks; ++blocks) {
+    std::array<std::vector<uint8_t>, 8> buffers;
+    std::array<const uint8_t*, 8> data;
+    std::array<State, 8> lanes;
+    std::array<uint32_t*, 8> lane_states;
+    std::array<State, 8> expected;
+    for (size_t lane = 0; lane < 8; ++lane) {
+      const size_t offset = (blocks * 11 + lane * 23) % 64;
+      const size_t slack = (lane * 5) % 8;
+      buffers[lane] = RandomBytes(rng, offset + blocks * 64 + slack);
+      data[lane] = buffers[lane].data() + offset;
+      lanes[lane] = RandomState(rng);
+      lane_states[lane] = lanes[lane].data();
+      expected[lane] = lanes[lane];
+      internal::ProcessBlocksScalar(expected[lane].data(), data[lane], blocks);
+    }
+    internal::ProcessBlocks8Avx2(lane_states.data(), data.data(), blocks);
+    for (size_t lane = 0; lane < 8; ++lane) {
+      ASSERT_EQ(lanes[lane], expected[lane]) << "lane " << lane << " blocks " << blocks;
+    }
+  }
+#else
+  GTEST_SKIP() << "hardware cores compiled out";
+#endif
+}
 
 // --- Sha256Batch -----------------------------------------------------------
 

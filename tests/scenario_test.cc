@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -396,6 +397,56 @@ TEST(ScenarioRunnerTest, BandwidthSearchRejectsAStandingAttackItCannotJoin) {
   ASSERT_FALSE(required.ok());
   EXPECT_EQ(required.status().code(), torbase::StatusCode::kInvalidArgument);
   EXPECT_EQ(runner.workload_cache_misses(), 0u);  // nothing ran
+}
+
+// A windowed attack whose verdict flips: the second time a clone is installed
+// with the same probe clamp, the clamp drops to 1 kbps, so a bandwidth that
+// succeeded once now fails. Describe() is the windowed one, so the spec digest
+// cannot tell the two installs apart.
+class FlipOnReinstallAttack : public torattack::WindowedAttack {
+ public:
+  FlipOnReinstallAttack(std::vector<torattack::AttackWindow> windows,
+                        std::shared_ptr<std::map<double, int>> installs)
+      : WindowedAttack(std::move(windows)), installs_(std::move(installs)) {}
+
+  std::shared_ptr<torattack::AttackSchedule> Clone() const override {
+    return std::make_shared<FlipOnReinstallAttack>(windows(), installs_);
+  }
+  void Install(torsim::Harness& harness, const torattack::AttackContext& context) override {
+    if (!windows().empty() && ++(*installs_)[windows().back().available_bps] > 1) {
+      windows().back().available_bps = 1e3;
+    }
+    WindowedAttack::Install(harness, context);
+  }
+
+ private:
+  std::shared_ptr<std::map<double, int>> installs_;
+};
+
+TEST(ScenarioRunnerTest, BandwidthSearchReportsALostInvariant) {
+  // With the memo off the confirmation probe re-simulates the returned
+  // bandwidth; a verdict that flips there must come back as an error in every
+  // build type, not as a requirement.
+  ScenarioSpec base = SmallSpec("current");
+  base.attack = std::make_shared<FlipOnReinstallAttack>(
+      std::vector<torattack::AttackWindow>{}, std::make_shared<std::map<double, int>>());
+  ScenarioRunner runner;
+  runner.set_memoize(false);
+  const auto required = runner.FindBandwidthRequirement(base, /*victim_count=*/5, 0.2e6, 25e6,
+                                                        /*probes=*/3);
+  ASSERT_FALSE(required.ok());
+  EXPECT_EQ(required.status().code(), torbase::StatusCode::kInternal);
+
+  // Control: with the memo on the confirmation is a replay, each bandwidth is
+  // installed once, and the same search brackets a requirement.
+  base.attack = std::make_shared<FlipOnReinstallAttack>(
+      std::vector<torattack::AttackWindow>{}, std::make_shared<std::map<double, int>>());
+  ScenarioRunner memo_runner;
+  const auto memoized = memo_runner.FindBandwidthRequirement(base, /*victim_count=*/5, 0.2e6,
+                                                             25e6, /*probes=*/3);
+  ASSERT_TRUE(memoized.ok());
+  EXPECT_GT(*memoized, 0.2e6);
+  EXPECT_LT(*memoized, 25e6);
 }
 
 // Per-field diagnostics for a BitIdentical failure; the authoritative
