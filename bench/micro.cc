@@ -7,7 +7,6 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
-#include "src/common/thread_pool.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec_digest.h"
 #include "src/crypto/hmac.h"
@@ -196,27 +195,17 @@ BENCHMARK(BM_Sha256Batch)
     ->Args({4, 1 << 20})
     ->Args({8, 1 << 20});
 
-// Tree digest of a full vote document with leaf hashing fanned out over a
-// pool ("sha256-tree-v1", 64 KiB leaves). The serial streaming tree and the
-// pinned-thread-count runs are bit-identical; only throughput differs.
+// Tree digest of a full vote document ("sha256-tree-v1", 64 KiB leaves),
+// streamed from the serializer without materializing the text.
 void BM_TreeVoteDigest(benchmark::State& state) {
   const auto vote = MakeBenchVote(static_cast<size_t>(state.range(0)));
   const size_t bytes = tordir::SerializeVote(vote).size();
-  torbase::ThreadPool pool(static_cast<unsigned>(state.range(1)));
-  torbase::ThreadPool* pool_arg = state.range(1) == 0 ? nullptr : &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tordir::TreeVoteDigest(vote, pool_arg));
+    benchmark::DoNotOptimize(tordir::TreeVoteDigest(vote));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_TreeVoteDigest)
-    ->ArgNames({"relays", "threads"})
-    ->Args({8000, 0})
-    ->Args({8000, 4})
-    ->Args({64000, 0})
-    ->Args({64000, 4})
-    ->Args({256000, 0})
-    ->Args({256000, 4});
+BENCHMARK(BM_TreeVoteDigest)->ArgName("relays")->Arg(8000)->Arg(64000)->Arg(256000);
 
 // The consensus diff codec (src/tordir/consensus_diff.h) over a relays x
 // churn grid. Bytes/s is against the full *target* document — the bytes the
@@ -306,8 +295,7 @@ BENCHMARK(BM_ApplyConsensusDiff)
     ->Args({256000, 100});
 
 // The flat-merge aggregation hot path; items/s is relays aggregated per
-// second (the `aggregate` row of BENCH_sweep.json tracks the same number at
-// 1k/8k/64k relays). Pre-refactor map-based baseline at 8k x 9: ~78 ms/op.
+// second. Pre-refactor map-based baseline at 8k x 9: ~78 ms/op.
 void BM_ComputeConsensus(benchmark::State& state) {
   tordir::PopulationConfig config;
   config.relay_count = static_cast<size_t>(state.range(0));

@@ -1,8 +1,9 @@
 // Binary-wide allocation counting: including this header in exactly ONE
 // translation unit of a binary replaces the global operator new/delete with
-// counting versions. Used by the binaries that pin the simulator's
-// zero-allocation event path (tests/event_alloc_test.cc, bench/perf_report.cc)
-// so they share one definition of what counts as an allocation.
+// counting versions. Used by the tests that pin allocation contracts
+// (tests/event_alloc_test.cc, tests/aggregate_alloc_test.cc,
+// tests/codec_alloc_test.cc) so they share one definition of what counts as
+// an allocation.
 //
 // Replaceable-function rules: these are definitions, so never include this
 // from more than one TU of the same binary, and never from library code.

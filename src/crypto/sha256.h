@@ -49,7 +49,7 @@ class Sha256 {
   Sha256();
   // Pins the context to one core regardless of CPU features; the backend must
   // satisfy Sha256BackendSupported(). Used by tests to cross-check cores and
-  // by perf_report to measure the scalar baseline on SIMD hardware. kAvx2x8 is
+  // by the perf floors to measure the scalar baseline on SIMD hardware. kAvx2x8 is
   // a batch-only core and falls back to the best single-stream core here.
   explicit Sha256(Sha256Backend backend);
 

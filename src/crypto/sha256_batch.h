@@ -24,8 +24,7 @@ class Sha256Batch {
   // CPU supports.
   Sha256Batch();
   // Pins the batch to one core (must satisfy Sha256BackendSupported()); used
-  // by tests to cross-check the AVX2 lanes against scalar and by perf_report
-  // to measure each backend.
+  // by tests to cross-check the AVX2 lanes against scalar.
   explicit Sha256Batch(Sha256Backend backend);
 
   void Add(std::span<const uint8_t> message) { messages_.push_back(message); }

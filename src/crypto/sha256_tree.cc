@@ -2,28 +2,7 @@
 
 #include <algorithm>
 
-#include "src/common/thread_pool.h"
-
 namespace torcrypto {
-namespace {
-
-// Folds the leaf digests into the root: H(tag || LE64(total) || leaves).
-std::array<uint8_t, kSha256DigestSize> FoldLeaves(
-    uint64_t total_bytes, std::span<const std::array<uint8_t, kSha256DigestSize>> leaves) {
-  Sha256 root;
-  root.Update(kSha256TreeDomainTag);
-  uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) {
-    len_le[i] = static_cast<uint8_t>(total_bytes >> (8 * i));
-  }
-  root.Update(std::span<const uint8_t>(len_le, sizeof(len_le)));
-  for (const auto& leaf : leaves) {
-    root.Update(std::span<const uint8_t>(leaf.data(), leaf.size()));
-  }
-  return root.Finish();
-}
-
-}  // namespace
 
 Sha256TreeHasher::Sha256TreeHasher() = default;
 
@@ -48,25 +27,24 @@ std::array<uint8_t, kSha256DigestSize> Sha256TreeHasher::Finish() {
     leaf_.Reset();
     leaf_fill_ = 0;
   }
-  return FoldLeaves(total_bytes_, leaves_);
+  // Root: H(tag || LE64(total) || leaf digests in leaf order).
+  Sha256 root;
+  root.Update(kSha256TreeDomainTag);
+  uint8_t len_le[8];
+  for (int i = 0; i < 8; ++i) {
+    len_le[i] = static_cast<uint8_t>(total_bytes_ >> (8 * i));
+  }
+  root.Update(std::span<const uint8_t>(len_le, sizeof(len_le)));
+  for (const auto& leaf : leaves_) {
+    root.Update(std::span<const uint8_t>(leaf.data(), leaf.size()));
+  }
+  return root.Finish();
 }
 
-std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::span<const uint8_t> data,
-                                                        torbase::ThreadPool* pool) {
-  const size_t leaf_count = (data.size() + kSha256TreeLeafBytes - 1) / kSha256TreeLeafBytes;
-  std::vector<std::array<uint8_t, kSha256DigestSize>> leaves(leaf_count);
-  const auto hash_leaf = [&](size_t i) {
-    const size_t at = i * kSha256TreeLeafBytes;
-    leaves[i] = Sha256Digest(data.subspan(at, std::min(kSha256TreeLeafBytes, data.size() - at)));
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && leaf_count > 1) {
-    pool->ParallelFor(leaf_count, hash_leaf);
-  } else {
-    for (size_t i = 0; i < leaf_count; ++i) {
-      hash_leaf(i);
-    }
-  }
-  return FoldLeaves(data.size(), leaves);
+std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::span<const uint8_t> data) {
+  Sha256TreeHasher hasher;
+  hasher.Update(data);
+  return hasher.Finish();
 }
 
 }  // namespace torcrypto

@@ -1,4 +1,4 @@
-// Parallel tree-structured SHA-256 over a byte stream ("sha256-tree-v1").
+// Tree-structured SHA-256 over a byte stream ("sha256-tree-v1").
 //
 // Shape (fixed, part of the digest definition):
 //   - the input is split into consecutive 64 KiB leaves; the final leaf holds
@@ -7,10 +7,9 @@
 //   - root = SHA-256("sha256-tree-v1" || LE64(total_bytes) || leaf digests
 //     concatenated in leaf order).
 //
-// The leaves are independent pure functions of fixed input spans and the fold
-// order is the leaf index order, so the root is bit-identical no matter how
-// many threads hash leaves (the ROADMAP threading contract). The length tag
-// makes the root domain-separated from plain SHA-256 and from any tree over a
+// Each leaf is a pure function of a fixed input span, so the root depends only
+// on the bytes, never on how a producer chunks them. The length tag makes the
+// root domain-separated from plain SHA-256 and from any tree over a
 // different-length input.
 #ifndef SRC_CRYPTO_SHA256_TREE_H_
 #define SRC_CRYPTO_SHA256_TREE_H_
@@ -22,10 +21,6 @@
 
 #include "src/crypto/sha256.h"
 
-namespace torbase {
-class ThreadPool;
-}  // namespace torbase
-
 namespace torcrypto {
 
 constexpr size_t kSha256TreeLeafBytes = 64 * 1024;
@@ -33,8 +28,7 @@ constexpr std::string_view kSha256TreeDomainTag = "sha256-tree-v1";
 
 // Incremental form for streaming producers (the dir-spec digest sinks): leaves
 // are hashed as bytes arrive, so the serialized document is never
-// materialized. Single-threaded by definition — parallelism needs the whole
-// input up front (Sha256TreeDigest below) — but produces the identical root.
+// materialized. Any chunking of the same bytes gives the same root.
 class Sha256TreeHasher {
  public:
   Sha256TreeHasher();
@@ -52,15 +46,10 @@ class Sha256TreeHasher {
   std::vector<std::array<uint8_t, kSha256DigestSize>> leaves_;
 };
 
-// One-shot tree digest. With a pool, leaves are hashed via ParallelFor —
-// callers must follow the pool contract (never pass the pool a worker of which
-// is the calling thread). pool == nullptr hashes leaves serially; the root is
-// identical either way.
-std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::span<const uint8_t> data,
-                                                        torbase::ThreadPool* pool = nullptr);
-inline std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::string_view data,
-                                                               torbase::ThreadPool* pool = nullptr) {
-  return Sha256TreeDigest(AsByteSpan(data), pool);
+// One-shot tree digest of bytes already in memory: one Sha256TreeHasher pass.
+std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::span<const uint8_t> data);
+inline std::array<uint8_t, kSha256DigestSize> Sha256TreeDigest(std::string_view data) {
+  return Sha256TreeDigest(AsByteSpan(data));
 }
 
 }  // namespace torcrypto

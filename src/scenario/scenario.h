@@ -210,7 +210,7 @@ struct ScenarioResult {
 // Field-by-field equality with NaN == NaN (failed runs carry NaN latencies).
 // This is the definition of "bit-identical" that the parallel sweep guarantees
 // against serial execution; keep it in sync with ScenarioResult's fields so
-// the equivalence test and perf_report keep covering all of them.
+// the equivalence test keeps covering all of them.
 // scenario_test's ResultFieldListIsCoveredByBitIdentical pins the field list:
 // adding a member to ScenarioResult (or ClientAvailabilityResult) without
 // extending this comparison fails that test.

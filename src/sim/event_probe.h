@@ -1,7 +1,7 @@
 // Shared scaffolding for benchmarking/pinning the simulator's per-event hot
-// path (bench/micro.cc, bench/perf_report.cc, tests/event_alloc_test.cc): a
-// capture sized to fill most of SimCallback's inline buffer, and the
-// schedule-batch loops the three binaries time or count allocations around.
+// path (bench/micro.cc, tests/event_alloc_test.cc): a capture sized to fill
+// most of SimCallback's inline buffer, and the schedule-batch loops the two
+// binaries time or count allocations around.
 #ifndef SRC_SIM_EVENT_PROBE_H_
 #define SRC_SIM_EVENT_PROBE_H_
 

@@ -161,12 +161,10 @@ bool IsUppercaseHex40(std::string_view s) {
 
 std::string ComputeConsensusDiff(const ConsensusDocument& base, const ConsensusDocument& target,
                                  const ConsensusDiffOptions& options) {
-  const torcrypto::Digest256 base_digest = options.base_digest.IsZero()
-                                               ? TreeSignedConsensusDigest(base, options.pool)
-                                               : options.base_digest;
-  const torcrypto::Digest256 target_digest = options.target_digest.IsZero()
-                                                 ? TreeSignedConsensusDigest(target, options.pool)
-                                                 : options.target_digest;
+  const torcrypto::Digest256 base_digest =
+      options.base_digest.IsZero() ? TreeSignedConsensusDigest(base) : options.base_digest;
+  const torcrypto::Digest256 target_digest =
+      options.target_digest.IsZero() ? TreeSignedConsensusDigest(target) : options.target_digest;
 
   std::vector<RelayStatus> base_scratch;
   std::vector<RelayStatus> target_scratch;
@@ -242,8 +240,7 @@ Result<std::string> ApplyConsensusDiff(std::string_view base, std::string_view d
     return s;
   }
   if (options.verify_base &&
-      torcrypto::Digest256(torcrypto::Sha256TreeDigest(base, options.pool)) !=
-          framing.base_digest) {
+      torcrypto::Digest256(torcrypto::Sha256TreeDigest(base)) != framing.base_digest) {
     return Status::FailedPrecondition("consensus diff base digest mismatch");
   }
 
@@ -395,8 +392,7 @@ Result<std::string> ApplyConsensusDiff(std::string_view base, std::string_view d
   out.append(signatures);
 
   if (options.verify_target &&
-      torcrypto::Digest256(torcrypto::Sha256TreeDigest(out, options.pool)) !=
-          framing.target_digest) {
+      torcrypto::Digest256(torcrypto::Sha256TreeDigest(out)) != framing.target_digest) {
     return Status::FailedPrecondition("patched document does not match the target digest");
   }
   return out;
@@ -424,8 +420,7 @@ Result<std::string> ApplyConsensusDiffChain(std::string_view base,
   if (!first.ok()) {
     return first.status();
   }
-  if (torcrypto::Digest256(torcrypto::Sha256TreeDigest(base, options.pool)) !=
-      first->base_digest) {
+  if (torcrypto::Digest256(torcrypto::Sha256TreeDigest(base)) != first->base_digest) {
     return Status::FailedPrecondition("diff chain does not start at the held document");
   }
 

@@ -47,10 +47,6 @@
 #include "src/crypto/digest.h"
 #include "src/tordir/vote.h"
 
-namespace torbase {
-class ThreadPool;
-}  // namespace torbase
-
 namespace tordir {
 
 struct ConsensusDiffOptions {
@@ -59,9 +55,6 @@ struct ConsensusDiffOptions {
   // the digests (a cache naming documents by digest) skip two serializations.
   torcrypto::Digest256 base_digest;
   torcrypto::Digest256 target_digest;
-  // Fans the derived digests' leaf hashing out over the pool (bit-identical
-  // to serial per the sha256-tree-v1 contract); null hashes serially.
-  torbase::ThreadPool* pool = nullptr;
 };
 
 // Builds the diff that patches `base`'s full serialization into `target`'s.
@@ -82,8 +75,6 @@ struct ApplyDiffOptions {
   // "never a silently wrong document" guarantee — leave it on unless the
   // caller verifies the digest itself.
   bool verify_target = true;
-  // Parallel leaf hashing for the verification digests; null = serial.
-  torbase::ThreadPool* pool = nullptr;
 };
 
 // Streams `base`'s serialized bytes through the diff's edit list and returns

@@ -929,12 +929,7 @@ torcrypto::Digest256 VoteDigest(const VoteDocument& vote) {
   return torcrypto::Digest256(hash.Finish());
 }
 
-torcrypto::Digest256 TreeVoteDigest(const VoteDocument& vote, torbase::ThreadPool* pool) {
-  if (pool != nullptr) {
-    // Parallel leaves need the whole byte string up front; the serializer runs
-    // at multiple GiB/s, so materializing it is not the bottleneck.
-    return torcrypto::Digest256(torcrypto::Sha256TreeDigest(SerializeVote(vote), pool));
-  }
+torcrypto::Digest256 TreeVoteDigest(const VoteDocument& vote) {
   torcrypto::Sha256TreeHasher hash;
   TreeDigestSinkBackend backend{hash};
   BufferedTextSink<TreeDigestSinkBackend> sink(backend);
@@ -1083,12 +1078,7 @@ size_t ConsensusWireSize(const ConsensusDocument& consensus) {
   return backend.bytes;
 }
 
-torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
-                                         torbase::ThreadPool* pool) {
-  if (pool != nullptr) {
-    return torcrypto::Digest256(
-        torcrypto::Sha256TreeDigest(SerializeConsensusUnsigned(consensus), pool));
-  }
+torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus) {
   torcrypto::Sha256TreeHasher hash;
   TreeDigestSinkBackend backend{hash};
   BufferedTextSink<TreeDigestSinkBackend> sink(backend);
@@ -1097,11 +1087,7 @@ torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
   return torcrypto::Digest256(hash.Finish());
 }
 
-torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus,
-                                               torbase::ThreadPool* pool) {
-  if (pool != nullptr) {
-    return torcrypto::Digest256(torcrypto::Sha256TreeDigest(SerializeConsensus(consensus), pool));
-  }
+torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus) {
   torcrypto::Sha256TreeHasher hash;
   TreeDigestSinkBackend backend{hash};
   BufferedTextSink<TreeDigestSinkBackend> sink(backend);

@@ -23,10 +23,6 @@
 #include "src/crypto/digest.h"
 #include "src/tordir/vote.h"
 
-namespace torbase {
-class ThreadPool;
-}  // namespace torbase
-
 namespace tordir {
 
 // Parser knobs. Defaults match honest steady-state behavior.
@@ -66,17 +62,14 @@ torcrypto::Digest256 ConsensusDigest(const ConsensusDocument& consensus);
 size_t ConsensusWireSize(const ConsensusDocument& consensus);
 
 // --- tree digests ----------------------------------------------------------
-// Parallel-friendly counterparts of VoteDigest/ConsensusDigest over the same
-// canonical serialized bytes, using the fixed "sha256-tree-v1" shape
+// Tree counterparts of VoteDigest/ConsensusDigest over the same canonical
+// serialized bytes, using the fixed "sha256-tree-v1" shape
 // (src/crypto/sha256_tree.h). NOT interchangeable with the streaming digests
 // above — tree digests are a distinct domain with their own goldens — and the
 // protocol-visible digests (vote identity, signature subjects) stay on the
-// streaming form. With a pool, leaf hashing fans out over its workers; the
-// result is bit-identical at any thread count (and to pool == nullptr, which
-// streams without materializing the document).
-torcrypto::Digest256 TreeVoteDigest(const VoteDocument& vote, torbase::ThreadPool* pool = nullptr);
-torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
-                                         torbase::ThreadPool* pool = nullptr);
+// streaming form. Like those, they stream without materializing the document.
+torcrypto::Digest256 TreeVoteDigest(const VoteDocument& vote);
+torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus);
 
 // Tree digest of the *signed* consensus bytes (exactly what SerializeConsensus
 // emits, signature lines included). This is the framing digest the consensus
@@ -84,8 +77,7 @@ torcrypto::Digest256 TreeConsensusDigest(const ConsensusDocument& consensus,
 // with, so a cache can verify a patched document against the digest without
 // reserializing anything. Distinct domain from TreeConsensusDigest, which
 // covers only the unsigned body.
-torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus,
-                                               torbase::ThreadPool* pool = nullptr);
+torcrypto::Digest256 TreeSignedConsensusDigest(const ConsensusDocument& consensus);
 
 // --- canonical fragment writers ---------------------------------------------
 // Append the exact bytes the serializers above would emit for one relay row

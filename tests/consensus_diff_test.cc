@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/consensus_diff.h"
 #include "src/tordir/dirspec.h"
@@ -116,18 +115,20 @@ TEST(ConsensusDiffTest, SyntheticChurnRoundTripsAtEveryRate) {
 
 TEST(ConsensusDiffTest, TypicalChurnCompressesBelowFivePercent) {
   // The serving-economics claim: at the live network's ~1%/hour row churn the
-  // diff is a few percent of the full document.
-  const ConsensusDocument base = BuildConsensus(2000, 13);
-  ConsensusChurnConfig churn;
-  churn.change_fraction = 0.01;
-  churn.remove_fraction = 0.005;
-  churn.add_fraction = 0.005;
-  const ConsensusDocument next = ChurnConsensus(base, churn);
-  const std::string full = SerializeConsensus(next);
-  const std::string diff = ComputeConsensusDiff(base, next);
-  EXPECT_LT(static_cast<double>(diff.size()), 0.05 * static_cast<double>(full.size()))
-      << diff.size() << " of " << full.size();
-  ExpectRoundTrip(base, next, "typical churn");
+  // diff is a few percent of the full document, at Tor scale (8k relays) too.
+  for (const size_t relays : {2000u, 8000u}) {
+    const ConsensusDocument base = BuildConsensus(relays, 13);
+    ConsensusChurnConfig churn;
+    churn.change_fraction = 0.01;
+    churn.remove_fraction = 0.005;
+    churn.add_fraction = 0.005;
+    const ConsensusDocument next = ChurnConsensus(base, churn);
+    const std::string full = SerializeConsensus(next);
+    const std::string diff = ComputeConsensusDiff(base, next);
+    EXPECT_LT(static_cast<double>(diff.size()), 0.05 * static_cast<double>(full.size()))
+        << relays << " relays: " << diff.size() << " of " << full.size();
+    ExpectRoundTrip(base, next, "typical churn, " + std::to_string(relays) + " relays");
+  }
 }
 
 TEST(ConsensusDiffTest, FramingDigestsMatchTreeSignedConsensusDigest) {
@@ -148,16 +149,10 @@ TEST(ConsensusDiffTest, FramingDigestsMatchTreeSignedConsensusDigest) {
   options.target_digest = header->target_digest;
   EXPECT_EQ(ComputeConsensusDiff(base, next, options), diff);
 
-  // Parallel digest derivation is bit-identical too (sha256-tree-v1
-  // contract), so pooled and serial callers interoperate.
-  torbase::ThreadPool pool(4);
-  ConsensusDiffOptions pooled;
-  pooled.pool = &pool;
-  EXPECT_EQ(ComputeConsensusDiff(base, next, pooled), diff);
-  ApplyDiffOptions apply_pooled;
-  apply_pooled.verify_base = true;
-  apply_pooled.pool = &pool;
-  const auto patched = ApplyConsensusDiff(SerializeConsensus(base), diff, apply_pooled);
+  // The base check accepts the document the framing digest names.
+  ApplyDiffOptions verify_base;
+  verify_base.verify_base = true;
+  const auto patched = ApplyConsensusDiff(SerializeConsensus(base), diff, verify_base);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
   EXPECT_EQ(*patched, SerializeConsensus(next));
 }

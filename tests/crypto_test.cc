@@ -10,7 +10,6 @@
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/crypto/digest.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
@@ -364,16 +363,6 @@ TEST(Sha256TreeTest, StreamingMatchesOneShotAtAwkwardChunkings) {
       hasher.Update(std::string_view(msg).substr(at, chunk));
     }
     ASSERT_EQ(hasher.Finish(), expected) << "chunk " << chunk;
-  }
-}
-
-TEST(Sha256TreeTest, BitIdenticalAcrossThreadCounts) {
-  const std::string msg = PatternMessage(5 * 65536 + 999);
-  const auto serial = Sha256TreeDigest(std::string_view(msg));
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    torbase::ThreadPool pool(threads);
-    EXPECT_EQ(Sha256TreeDigest(std::string_view(msg), &pool), serial)
-        << threads << " threads";
   }
 }
 

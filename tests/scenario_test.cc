@@ -466,16 +466,25 @@ void ExpectSameResult(const ScenarioResult& a, const ScenarioResult& b, size_t c
 }
 
 TEST(ScenarioTest, ParallelSweepIsBitIdenticalToSerial) {
-  // A 12-cell grid mixing the hard cases for parallelism: a shared rolling
-  // attack-schedule object across cells (must be cloned per cell), churn, and
-  // failed cells (NaN latencies). Every thread count must reproduce the serial
-  // results exactly, including the workload-cache telemetry.
+  // A 16-cell grid mixing the hard cases for parallelism: shared rolling and
+  // windowed attack-schedule objects across cells (must be cloned per cell),
+  // churn, and failed cells (NaN latencies). Every thread count must reproduce
+  // the serial results exactly, including the workload-cache telemetry.
   torattack::RollingAttackConfig attack_config;
   attack_config.victim_count = 5;
   attack_config.period = Minutes(1);
   attack_config.start = 0;
   attack_config.end = Minutes(4);
   const auto rolling = std::make_shared<torattack::RollingAttack>(attack_config);
+  // The fig7 shape: 5 of 9 authorities clamped for the whole horizon. At
+  // 100 kbit/s per victim `current` fails the round and `icps` publishes.
+  torattack::AttackWindow clamp;
+  clamp.targets = torattack::FirstTargets(5);
+  clamp.start = 0;
+  clamp.end = torbase::Hours(1);
+  clamp.available_bps = 0.1e6;
+  const auto windowed =
+      std::make_shared<torattack::WindowedAttack>(std::vector<torattack::AttackWindow>{clamp});
 
   // Diff-enabled cells need a previous-round document; one healthy prep run
   // per protocol supplies it (results retain the published consensus whenever
@@ -494,11 +503,11 @@ TEST(ScenarioTest, ParallelSweepIsBitIdenticalToSerial) {
   std::vector<ScenarioSpec> specs;
   for (const char* protocol : {"current", "icps"}) {
     for (size_t relays : {200, 300}) {
-      for (int variant = 0; variant < 3; ++variant) {
+      for (int variant = 0; variant < 4; ++variant) {
         ScenarioSpec spec = SmallSpec(protocol);
         spec.relay_count = relays;
         spec.horizon = torbase::Hours(1);
-        if (variant != 1) {
+        if (variant == 0 || variant == 2) {
           spec.attack = rolling;  // deliberately shared across cells
         }
         if (variant != 0) {
@@ -521,11 +530,17 @@ TEST(ScenarioTest, ParallelSweepIsBitIdenticalToSerial) {
           spec.client_load.diff_capable_fraction = 0.8;
           spec.previous_consensus = baselines[protocol];
         }
+        if (variant == 3) {
+          // Tor's 5M clients; where the clamp fails the round they run
+          // against the prior document only.
+          spec.attack = windowed;  // deliberately shared across cells
+          spec.client_load.client_count = 5'000'000;
+        }
         specs.push_back(std::move(spec));
       }
     }
   }
-  ASSERT_GE(specs.size(), 12u);
+  ASSERT_GE(specs.size(), 16u);
 
   ScenarioRunner serial_runner;
   const auto serial = serial_runner.Sweep(specs);

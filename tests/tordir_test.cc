@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <random>
 
-#include "src/common/thread_pool.h"
 #include "src/crypto/sha256_tree.h"
 #include "src/tordir/aggregate.h"
 #include "src/tordir/dirspec.h"
@@ -164,9 +163,9 @@ TEST(DirspecTest, ConsensusDigestIgnoresSignatures) {
 }
 
 // --- tree digests ----------------------------------------------------------
-// Multi-megabyte documents (8k relays ≈ 3 MB ≈ 50 tree leaves) so the tree
-// paths — streaming sink, materialize-then-parallel, pool fan-out — all cross
-// many leaf boundaries.
+// Multi-megabyte documents (8k relays ≈ 3 MB ≈ 50 tree leaves) so both tree
+// paths — streaming sink and one-shot over the serialized bytes — cross many
+// leaf boundaries.
 VoteDocument BigGeneratedVote() {
   PopulationConfig config;
   config.relay_count = 8000;
@@ -176,19 +175,10 @@ VoteDocument BigGeneratedVote() {
 
 TEST(DirspecTest, TreeVoteDigestMatchesTreeOverSerializedBytes) {
   const VoteDocument vote = BigGeneratedVote();
-  // The streaming tree sink (pool == nullptr) must equal the tree over the
-  // materialized canonical bytes: one definition, two evaluation strategies.
+  // The streaming tree sink must equal the tree over the materialized
+  // canonical bytes: one definition, two evaluation strategies.
   EXPECT_EQ(TreeVoteDigest(vote),
             torcrypto::Digest256(torcrypto::Sha256TreeDigest(SerializeVote(vote))));
-}
-
-TEST(DirspecTest, TreeVoteDigestBitIdenticalAcrossThreadCounts) {
-  const VoteDocument vote = BigGeneratedVote();
-  const auto serial = TreeVoteDigest(vote);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    torbase::ThreadPool pool(threads);
-    EXPECT_EQ(TreeVoteDigest(vote, &pool), serial) << threads << " threads";
-  }
 }
 
 TEST(DirspecTest, TreeVoteDigestIsDistinctDomainAndSensitive) {
@@ -200,7 +190,7 @@ TEST(DirspecTest, TreeVoteDigestIsDistinctDomainAndSensitive) {
   EXPECT_NE(TreeVoteDigest(vote), before);
 }
 
-TEST(DirspecTest, TreeConsensusDigestIgnoresSignaturesAndParallelizes) {
+TEST(DirspecTest, TreeConsensusDigestIgnoresSignatures) {
   PopulationConfig config;
   config.relay_count = 2000;
   config.seed = 7;
@@ -215,9 +205,6 @@ TEST(DirspecTest, TreeConsensusDigestIgnoresSignaturesAndParallelizes) {
   sig.signer = 1;
   consensus.signatures.push_back(sig);
   EXPECT_EQ(TreeConsensusDigest(consensus), unsigned_digest);
-
-  torbase::ThreadPool pool(4);
-  EXPECT_EQ(TreeConsensusDigest(consensus, &pool), unsigned_digest);
 }
 
 TEST(DirspecTest, ParseRejectsGarbage) {
