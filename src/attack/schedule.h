@@ -43,7 +43,8 @@ struct AttackContext {
   torbase::TimePoint horizon = 0;
   // Probe for the current agreement leader (highest in-flight view across
   // authorities), or nullopt when the protocol has no leader / has decided.
-  // Unset for protocols without an agreement sub-protocol.
+  // The scenario runner always sets it; when unset (or nullopt), leader-
+  // chasing schedules fall back to a round-robin sweep.
   std::function<std::optional<torbase::NodeId>()> current_leader;
 };
 

@@ -17,6 +17,17 @@ IcpsAuthority::IcpsAuthority(const IcpsConfig& config, const torcrypto::KeyDirec
                              torproto::AuthorityMaterials materials)
     : Authority(directory, std::move(materials)), config_(config) {}
 
+// ICPS has no idle lock-step rounds: network time is start-to-finish.
+double IcpsAuthority::network_seconds() const { return torbase::ToSeconds(outcome_.finished_at); }
+
+std::optional<std::pair<uint64_t, torbase::NodeId>> IcpsAuthority::agreement_view() const {
+  if (!agreement_.has_value() || agreement_->decided() || agreement_->current_view() == 0) {
+    return std::nullopt;
+  }
+  const uint64_t view = agreement_->current_view();
+  return std::make_pair(view, agreement_->LeaderOf(view));
+}
+
 void IcpsAuthority::Start() {
   // Self-delivery of our own document.
   ReceivedDoc own;

@@ -89,12 +89,11 @@ class IcpsAuthority : public torproto::Authority {
   void Start() override;
   void OnMessage(torbase::NodeId from, const torbase::Bytes& payload) override;
   torproto::PublishedConsensus published() const override { return PublishedFrom(outcome_); }
+  double network_seconds() const override;
+  std::optional<std::pair<uint64_t, torbase::NodeId>> agreement_view() const override;
 
   const IcpsOutcome& outcome() const { return outcome_; }
   bool finished() const { return outcome_.valid_consensus; }
-  const torbft::HotStuffNode* agreement() const {
-    return agreement_.has_value() ? &*agreement_ : nullptr;
-  }
 
  private:
   enum MessageType : uint8_t {

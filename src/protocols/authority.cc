@@ -87,7 +87,6 @@ Authority::Authority(const torcrypto::KeyDirectory* directory, AuthorityMaterial
       own_vote_body_(std::move(materials.vote_body)),
       vote_cache_(std::move(materials.vote_cache)),
       second_vote_body_(std::move(materials.second_vote_body)),
-      round_state_(std::move(materials.round_state)),
       memo_(materials.memo != nullptr ? std::move(materials.memo)
                                       : std::make_shared<RoundMemo>()) {
   if (!own_vote_body_.has_value()) {

@@ -1,9 +1,10 @@
-// The authority core shared by every built-in directory protocol. The
-// deployed v3 protocol, Luo et al.'s synchronous fix and ICPS all start from
-// the same inputs (the authority's vote, its signing key, the workload's
-// pre-parsed votes) and yield the same evidence (admitted and rejected votes,
-// the consensus digest, the published consensus). Authority owns both; each
-// protocol subclass adds only its message exchange.
+// The authority core shared by every directory protocol. The deployed v3
+// protocol, Luo et al.'s synchronous fix and ICPS all start from the same
+// inputs (the authority's vote, its signing key, the workload's pre-parsed
+// votes) and yield the same evidence (admitted and rejected votes, the
+// consensus digest, the published consensus, the paper's network time).
+// Authority owns both; each protocol subclass adds only its message exchange,
+// and the scenario runner reads every metric straight off this interface.
 #ifndef SRC_PROTOCOLS_AUTHORITY_H_
 #define SRC_PROTOCOLS_AUTHORITY_H_
 
@@ -12,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/body.h"
@@ -100,15 +102,9 @@ struct AuthorityMaterials {
   std::shared_ptr<const tordir::VoteCache> vote_cache;
   // When set, the authority *equivocates*: odd-numbered peers receive this
   // body in the initial vote broadcast instead of `vote_body`. Null for
-  // honest authorities; populated only by the byzantine wrapper layer
+  // honest authorities; populated only by MakeFaultyMaterials
   // (src/protocols/byzantine.h).
   torcrypto::Body second_vote_body;
-  // Round-boundary restore seam: the consensus state this authority carried
-  // out of a previous round (a crashed authority rejoining with the document
-  // it fetched). Null for a cold start. Authorities retain it — it never
-  // perturbs the protocol exchange — and SnapshotAuthority echoes it back
-  // when the authority does not assemble a fresh consensus this round.
-  std::shared_ptr<const AuthorityRoundState> round_state;
   // The run's round memo, shared by all of its authorities. The scenario
   // runner makes one per run; an authority built without one (tests,
   // examples) makes a private memo.
@@ -122,7 +118,7 @@ struct AuthorityMaterials {
 // until a *valid* consensus — majority signatures — was assembled) and the
 // absolute virtual time it became available for directory caches to mirror.
 // This is the hand-off point between the production plane (authorities) and
-// the consumption plane (src/clients): the scenario runner probes it to turn
+// the consumption plane (src/clients): the scenario runner reads it to turn
 // protocol outcomes into client-visible availability.
 struct PublishedConsensus {
   const tordir::ConsensusDocument* document = nullptr;
@@ -139,9 +135,18 @@ class Authority : public torsim::Actor {
   // holds a valid one. The pointers stay valid as long as the actor does.
   virtual PublishedConsensus published() const = 0;
 
-  // The round-boundary state this authority was restored with (null for a
-  // cold start). Read by the protocol's SnapshotAuthority.
-  const std::shared_ptr<const AuthorityRoundState>& round_state() const { return round_state_; }
+  // The paper's §6.2 "network time" in seconds: for the lock-step protocols,
+  // the sum of per-round processing times excluding the idle remainder of
+  // each round; for ICPS, simply start-to-finish. Meaningful only once
+  // published() holds a valid consensus.
+  virtual double network_seconds() const = 0;
+
+  // The (view, leader) of this authority's in-flight agreement sub-protocol,
+  // if the protocol has a leader notion and the agreement is still undecided.
+  // Adaptive leader-chasing attacks key off this.
+  virtual std::optional<std::pair<uint64_t, NodeId>> agreement_view() const {
+    return std::nullopt;
+  }
 
   // Admission evidence for the consensus-health monitor, in arrival order:
   // peers' votes this authority admitted (own vote excluded) and texts it
@@ -178,7 +183,6 @@ class Authority : public torsim::Actor {
   torcrypto::Body own_vote_body_;
   std::shared_ptr<const tordir::VoteCache> vote_cache_;
   torcrypto::Body second_vote_body_;
-  std::shared_ptr<const AuthorityRoundState> round_state_;
   std::shared_ptr<RoundMemo> memo_;
 
   std::vector<ObservedVote> observed_votes_;

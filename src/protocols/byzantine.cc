@@ -34,7 +34,6 @@ AuthorityMaterials WithDocument(const AuthorityMaterials& honest, tordir::VoteDo
   faulty.vote_body = torcrypto::Body(tordir::SerializeVote(document));
   faulty.vote = std::make_shared<const tordir::VoteDocument>(std::move(document));
   faulty.vote_cache = honest.vote_cache;
-  faulty.round_state = honest.round_state;
   faulty.memo = honest.memo;
   return faulty;
 }
@@ -113,15 +112,6 @@ AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
     }
   }
   return honest;
-}
-
-std::unique_ptr<torsim::Actor> ByzantineProtocol::MakeAuthority(
-    const ProtocolRunConfig& config, const torcrypto::KeyDirectory* directory,
-    torbase::NodeId id, AuthorityMaterials materials) const {
-  if (auto it = spec_->behaviors.find(id); it != spec_->behaviors.end()) {
-    materials = MakeFaultyMaterials(materials, it->second, *spec_, id);
-  }
-  return inner_->MakeAuthority(config, directory, id, std::move(materials));
 }
 
 }  // namespace torproto

@@ -1,9 +1,8 @@
-// Byzantine (faulty) authorities as a wrapper layer over any registered
-// protocol. Misbehavior lives entirely in the *materials* an authority is
-// constructed with — the authority code itself keeps running the honest
-// protocol logic, which is exactly the threat model: a compromised authority
-// feeds manipulated documents into an otherwise well-formed protocol
-// exchange.
+// Byzantine (faulty) authorities for any registered protocol. Misbehavior
+// lives entirely in the *materials* an authority is constructed with — the
+// authority code itself keeps running the honest protocol logic, which is
+// exactly the threat model: a compromised authority feeds manipulated
+// documents into an otherwise well-formed protocol exchange.
 //
 //   kEquivocate        — two canonical vote variants; odd peers get variant B
 //                        in the initial broadcast (per-peer digest mismatch
@@ -18,15 +17,16 @@
 //                        the vote carries; parses and aggregates fine, caught
 //                        by the monitor's median cross-check.
 //
-// Because the substitution happens in DirectoryProtocol::MakeAuthority +
-// AuthorityMaterials, it composes with every protocol (current/sync/icps and
-// downstream registrations) and with any AttackSchedule.
+// The scenario runner substitutes MakeFaultyMaterials' output for the named
+// authorities' AuthorityMaterials before DirectoryProtocol::MakeAuthority, so
+// it composes with every protocol (current/sync/icps and downstream
+// registrations) and with any AttackSchedule.
 #ifndef SRC_PROTOCOLS_BYZANTINE_H_
 #define SRC_PROTOCOLS_BYZANTINE_H_
 
 #include <map>
 
-#include "src/protocols/directory_protocol.h"
+#include "src/protocols/authority.h"
 
 namespace torbase {
 class Writer;
@@ -68,48 +68,6 @@ struct ByzantineSpec {
 AuthorityMaterials MakeFaultyMaterials(const AuthorityMaterials& honest,
                                        ByzantineBehavior behavior, const ByzantineSpec& spec,
                                        torbase::NodeId id);
-
-// Decorator: delegates everything to `inner`, but MakeAuthority substitutes
-// faulty materials for the authorities named in `spec`. Both pointers must
-// outlive the wrapper (the scenario runner keeps them on the stack for the
-// duration of one run).
-class ByzantineProtocol : public DirectoryProtocol {
- public:
-  ByzantineProtocol(const DirectoryProtocol* inner, const ByzantineSpec* spec)
-      : inner_(inner), spec_(spec) {}
-
-  std::string_view name() const override { return inner_->name(); }
-  std::string_view display_name() const override { return inner_->display_name(); }
-
-  std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
-                                               const torcrypto::KeyDirectory* directory,
-                                               torbase::NodeId id,
-                                               AuthorityMaterials materials) const override;
-
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    return inner_->ProbeOutcome(actor);
-  }
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    return inner_->ProbeConsensus(actor);
-  }
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    return inner_->SnapshotAuthority(actor);
-  }
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return inner_->ProbeVoteObservations(actor);
-  }
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return inner_->ProbeVoteRejects(actor);
-  }
-  std::optional<std::pair<uint64_t, torbase::NodeId>> AgreementView(
-      const torsim::Actor& actor) const override {
-    return inner_->AgreementView(actor);
-  }
-
- private:
-  const DirectoryProtocol* inner_;
-  const ByzantineSpec* spec_;
-};
 
 }  // namespace torproto
 

@@ -84,25 +84,10 @@ struct RunResult {
   }
 };
 
-// The durable state one authority carries across a round boundary of a
-// multi-round timeline (src/scenario/timeline.h): the consensus it ended the
-// round holding, as a parsed document plus its canonical serialization.
-// Immutable once built — rounds running on different pool threads may share
-// one snapshot, which is what keeps the timeline engine inside the sweep
-// threading contract. Produced by DirectoryProtocol::SnapshotAuthority;
-// restored into the next round via AuthorityMaterials::round_state.
-struct AuthorityRoundState {
-  std::shared_ptr<const tordir::ConsensusDocument> consensus;
-  std::shared_ptr<const std::string> consensus_text;
-  // True when this state was injected via restore (a rejoining authority
-  // serving a fetched document) rather than assembled in-protocol this round.
-  bool restored = false;
-};
-
 // One vote another authority's actor *admitted* during the run: who sent it,
 // the digest of its canonical bytes, when it first arrived, and the parsed
 // document (shared, immutable — for evidence like bandwidth totals computed
-// lazily at probe time). Authorities record these for the health monitor;
+// lazily at analysis time). Authorities record these for the health monitor;
 // their own vote is excluded.
 struct ObservedVote {
   NodeId sender = torbase::kNoNode;

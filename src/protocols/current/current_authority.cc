@@ -17,6 +17,15 @@ CurrentAuthority::CurrentAuthority(const ProtocolConfig& config,
                                    AuthorityMaterials materials)
     : Authority(directory, std::move(materials)), config_(config) {}
 
+// Vote rounds' network time + signature rounds' network time: the signature
+// phases start two rounds in, so subtract the idle offset.
+double CurrentAuthority::network_seconds() const {
+  const double round_seconds = torbase::ToSeconds(config_.round_length);
+  const double vote_time = torbase::ToSeconds(outcome_.all_votes_received_at);
+  const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 2 * round_seconds;
+  return vote_time + sig_time;
+}
+
 void CurrentAuthority::Start() {
   votes_[id()] = own_vote_;
   vote_bodies_[id()] = own_vote_body_;

@@ -42,6 +42,7 @@ class CurrentAuthority : public Authority {
   void Start() override;
   void OnMessage(NodeId from, const torbase::Bytes& payload) override;
   PublishedConsensus published() const override { return PublishedFrom(outcome_); }
+  double network_seconds() const override;
 
   const AuthorityOutcome& outcome() const { return outcome_; }
   const ProtocolConfig& config() const { return config_; }

@@ -1,26 +1,22 @@
 // Pluggable directory-protocol abstraction. The experiment and scenario
 // layers dispatch on this interface instead of switching over an enum: a
-// protocol knows how to build its per-authority actor and how to read the
-// paper's metrics back out of one, so adding a fourth protocol is one
-// registration instead of three switch statements.
+// protocol is a named factory of torproto::Authority, and everything the
+// paper measures is read off the authorities it builds (src/protocols/
+// authority.h), so adding a fourth protocol is one registration instead of
+// three switch statements, and a protocol that wraps another cannot drop a
+// metric on the way.
 #ifndef SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 #define SRC_PROTOCOLS_DIRECTORY_PROTOCOL_H_
 
-#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
 #include "src/crypto/signature.h"
 #include "src/protocols/authority.h"
-#include "src/protocols/common.h"
-#include "src/sim/actor.h"
-#include "src/tordir/vote.h"
 
 namespace torproto {
 
@@ -36,22 +32,6 @@ struct ProtocolRunConfig {
   bool two_phase_agreement = false;
 };
 
-// One authority's run outcome, unified across protocols. The per-protocol
-// outcome structs (AuthorityOutcome, SyncOutcome, IcpsOutcome) stay richer;
-// this is the slice every consumer of the experiment layer needs.
-struct UnifiedOutcome {
-  bool valid_consensus = false;
-  size_t consensus_relays = 0;
-  // The paper's §6.2 "network time" in seconds: for the lock-step protocols,
-  // the sum of per-round processing times excluding the idle remainder of each
-  // round; for ICPS, simply start-to-finish. NaN if this authority never
-  // assembled a valid consensus.
-  double network_time_seconds = std::numeric_limits<double>::quiet_NaN();
-  // Absolute virtual time (seconds) at which this authority finished. NaN on
-  // failure.
-  double finish_seconds = std::numeric_limits<double>::quiet_NaN();
-};
-
 class DirectoryProtocol {
  public:
   virtual ~DirectoryProtocol() = default;
@@ -61,58 +41,16 @@ class DirectoryProtocol {
   // Column label for tables and figures, e.g. "Current" or "Ours".
   virtual std::string_view display_name() const = 0;
 
-  // Builds authority `id`'s actor. `directory` outlives the actor;
-  // `materials` carries the authority's own (shared, immutable) vote document
-  // and text plus the workload vote cache, so sweep cells never re-serialize,
-  // re-parse or deep-copy multi-megabyte votes per authority per run.
-  virtual std::unique_ptr<torsim::Actor> MakeAuthority(
-      const ProtocolRunConfig& config, const torcrypto::KeyDirectory* directory,
-      torbase::NodeId id, AuthorityMaterials materials) const = 0;
-
-  // Reads the unified outcome back out of an actor this protocol created.
-  virtual UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const = 0;
-
-  // The consensus document `actor` would publish, with its publish time.
-  // {nullptr, kTimeNever} when the authority never assembled a valid
-  // consensus. The pointer stays valid as long as the actor does.
-  virtual PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const {
-    (void)actor;
-    return {};
-  }
-
-  // Snapshots the durable state `actor` carries across a round boundary: the
-  // consensus it assembled this round (document copied flat, text serialized
-  // canonically), or — for the built-ins — the round_state it was restored
-  // with when it assembled nothing (a rejoining authority keeps serving what
-  // it fetched). The base implementation covers any protocol that answers
-  // ProbeConsensus; protocols with richer cross-round state override.
-  // Snapshot → restore → snapshot round-trips bit-identically (pinned per
-  // registered protocol by timeline_test).
-  virtual AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const;
-
-  // Every vote `actor` admitted from a peer during the run, with arrival
-  // times and shared parsed documents: the consensus-health monitor's feed
-  // (per-observer digests are what expose equivocation, missing senders the
-  // §4 missing-votes DDoS). Empty for protocols that do not track it.
-  virtual std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const {
-    (void)actor;
-    return {};
-  }
-
-  // Every vote text `actor` refused at admission during the run.
-  virtual std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const {
-    (void)actor;
-    return {};
-  }
-
-  // The (view, leader) of `actor`'s in-flight agreement sub-protocol, if the
-  // protocol has a leader notion and the agreement is still undecided.
-  // Adaptive leader-chasing attacks key off this.
-  virtual std::optional<std::pair<uint64_t, torbase::NodeId>> AgreementView(
-      const torsim::Actor& actor) const {
-    (void)actor;
-    return std::nullopt;
-  }
+  // Builds authority `id`. `directory` outlives the authority; `materials`
+  // carries its own (shared, immutable) vote document and text plus the
+  // workload vote cache, so sweep cells never re-serialize, re-parse or
+  // deep-copy multi-megabyte votes per authority per run. Byzantine
+  // authorities arrive here with faulty materials already substituted
+  // (src/protocols/byzantine.h), so misbehavior composes with every protocol.
+  virtual std::unique_ptr<Authority> MakeAuthority(const ProtocolRunConfig& config,
+                                                   const torcrypto::KeyDirectory* directory,
+                                                   torbase::NodeId id,
+                                                   AuthorityMaterials materials) const = 0;
 };
 
 // --- registry ----------------------------------------------------------------

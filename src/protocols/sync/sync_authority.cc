@@ -17,6 +17,14 @@ SyncAuthority::SyncAuthority(const ProtocolConfig& config,
                              AuthorityMaterials materials)
     : Authority(directory, std::move(materials)), config_(config) {}
 
+double SyncAuthority::network_seconds() const {
+  const double round_seconds = torbase::ToSeconds(config_.round_length);
+  const double list_time = torbase::ToSeconds(outcome_.all_lists_received_at);
+  const double packed_time = torbase::ToSeconds(outcome_.all_packed_received_at) - round_seconds;
+  const double sig_time = torbase::ToSeconds(outcome_.finished_at) - 3 * round_seconds;
+  return list_time + packed_time + sig_time;
+}
+
 void SyncAuthority::Start() {
   lists_[id()] = own_vote_body_;
   const Duration r = config_.round_length;

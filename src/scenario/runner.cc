@@ -32,18 +32,18 @@ double NodeRate(const ScenarioSpec& spec, torbase::NodeId node) {
 
 // Feeds the run's observable vote/consensus record through the
 // consensus-health monitor (Table 1's deployed mitigation) and stores the
-// alerts. Pure post-run analysis over probe results.
-void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& protocol,
-                   const std::vector<torsim::Actor*>& actors, ScenarioResult& result) {
+// alerts. Pure post-run analysis over the authorities' recorded evidence.
+void AnalyzeHealth(const ScenarioSpec& spec, const std::vector<torproto::Authority*>& authorities,
+                   ScenarioResult& result) {
   tordir::HealthMonitor monitor(spec.authority_count);
   // An observed digest names the admitted bytes, and equal bytes parse to
   // equal documents: each distinct vote's bandwidth is summed once per run,
   // not once per observer.
   std::map<torcrypto::Digest256, uint64_t> total_bandwidth;
-  for (const torsim::Actor* actor : actors) {
-    // Per-observer evidence: each actor reports the digest *it* admitted, so
-    // an equivocating sender shows up as two digests across observers.
-    for (const torproto::ObservedVote& observed : protocol.ProbeVoteObservations(*actor)) {
+  for (const torproto::Authority* authority : authorities) {
+    // Per-observer evidence: each authority reports the digest *it* admitted,
+    // so an equivocating sender shows up as two digests across observers.
+    for (const torproto::ObservedVote& observed : authority->observed_votes()) {
       tordir::VoteObservation record;
       record.sender = observed.sender;
       record.digest = observed.digest;
@@ -57,27 +57,27 @@ void AnalyzeHealth(const ScenarioSpec& spec, const torproto::DirectoryProtocol& 
         }
         record.total_bandwidth = total->second;
       }
-      monitor.RecordObservation(actor->id(), record);
+      monitor.RecordObservation(authority->id(), record);
     }
-    for (const torproto::RejectedVote& rejected : protocol.ProbeVoteRejects(*actor)) {
-      monitor.RecordReject(actor->id(), rejected.sender, rejected.reason,
+    for (const torproto::RejectedVote& rejected : authority->rejected_votes()) {
+      monitor.RecordReject(authority->id(), rejected.sender, rejected.reason,
                            torbase::ToSeconds(rejected.at));
     }
   }
   // Flooded or dead links drop messages silently at the NIC; surface them so
   // operators see the flood itself, not only its consensus fallout.
   monitor.RecordUndeliverable(result.undeliverable_messages);
-  for (const torsim::Actor* actor : actors) {
-    const torproto::PublishedConsensus published = protocol.ProbeConsensus(*actor);
+  for (const torproto::Authority* authority : authorities) {
+    const torproto::PublishedConsensus published = authority->published();
     if (published.document == nullptr) {
-      monitor.RecordConsensus(actor->id(), std::nullopt);
+      monitor.RecordConsensus(authority->id(), std::nullopt);
     } else if (published.digest != nullptr) {
       // All built-ins expose the body digest they computed during the run;
       // recording it is free.
-      monitor.RecordConsensus(actor->id(), *published.digest);
+      monitor.RecordConsensus(authority->id(), *published.digest);
     } else {
       // Downstream protocols without a cached digest pay one hash here.
-      monitor.RecordConsensus(actor->id(), tordir::ConsensusDigest(*published.document));
+      monitor.RecordConsensus(authority->id(), tordir::ConsensusDigest(*published.document));
     }
   }
   result.health_alerts = monitor.Analyze();
@@ -471,18 +471,7 @@ torbase::Result<double> ScenarioRunner::FindBandwidthRequirement(const ScenarioS
 
 ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const Workload& workload,
                                                const InspectFn& inspect) {
-  const torproto::DirectoryProtocol& base_protocol = torproto::GetProtocol(spec.protocol);
-  // Byzantine cells wrap the registered protocol in the faulty-materials
-  // layer; honest cells run it directly. The wrapper only substitutes each
-  // faulty authority's AuthorityMaterials — probes and everything else
-  // delegate, so the rest of this function is protocol-agnostic.
-  std::optional<torproto::ByzantineProtocol> byzantine;
-  if (!spec.byzantine.empty()) {
-    byzantine.emplace(&base_protocol, &spec.byzantine);
-  }
-  const torproto::DirectoryProtocol& protocol = byzantine.has_value()
-                                                    ? static_cast<const torproto::DirectoryProtocol&>(*byzantine)
-                                                    : base_protocol;
+  const torproto::DirectoryProtocol& protocol = torproto::GetProtocol(spec.protocol);
 
   torcrypto::KeyDirectory directory(kKeyDirectorySeed, spec.authority_count);
 
@@ -504,28 +493,34 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   // admitted vote set once between them. It is private to this call (never
   // on the shared Workload), so concurrent cells never share one.
   const auto memo = std::make_shared<torproto::RoundMemo>();
-  std::vector<torsim::Actor*> actors;
-  actors.reserve(spec.authority_count);
+  std::vector<torproto::Authority*> authorities;
+  authorities.reserve(spec.authority_count);
   for (uint32_t a = 0; a < spec.authority_count; ++a) {
     // Share the cached vote, its serialized bytes and the workload's parsed-
-    // vote cache with the actor: all immutable, so concurrent cells can hold
-    // the same documents without copying megabytes per authority per run.
-    actors.push_back(harness.AddActor(protocol.MakeAuthority(
-        run_config, &directory, a,
-        torproto::AuthorityMaterials{workload.votes[a], workload.vote_bodies[a],
-                                     workload.vote_cache, {}, nullptr, memo})));
+    // vote cache with the authority: all immutable, so concurrent cells can
+    // hold the same documents without copying megabytes per authority per
+    // run. A byzantine authority runs the same protocol on faulty materials.
+    torproto::AuthorityMaterials materials{workload.votes[a], workload.vote_bodies[a],
+                                           workload.vote_cache, {}, memo};
+    if (const auto it = spec.byzantine.behaviors.find(a); it != spec.byzantine.behaviors.end()) {
+      materials = torproto::MakeFaultyMaterials(materials, it->second, spec.byzantine, a);
+    }
+    std::unique_ptr<torproto::Authority> authority =
+        protocol.MakeAuthority(run_config, &directory, a, std::move(materials));
+    authorities.push_back(authority.get());
+    harness.AddActor(std::move(authority));
   }
 
   torattack::AttackContext attack_context;
   if (spec.attack != nullptr) {
     attack_context.authority_count = spec.authority_count;
     attack_context.horizon = spec.horizon;
-    attack_context.current_leader = [&protocol, &actors]() -> std::optional<torbase::NodeId> {
+    attack_context.current_leader = [&authorities]() -> std::optional<torbase::NodeId> {
       // The leader of the highest in-flight view across authorities: the view
       // an attacker watching the wire would see being driven right now.
       std::optional<std::pair<uint64_t, torbase::NodeId>> best;
-      for (const torsim::Actor* actor : actors) {
-        const auto view = protocol.AgreementView(*actor);
+      for (const torproto::Authority* authority : authorities) {
+        const auto view = authority->agreement_view();
         if (view.has_value() && (!best.has_value() || view->first > best->first)) {
           best = view;
         }
@@ -565,18 +560,17 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   double latency = 0.0;
   double finish = 0.0;
   torproto::PublishedConsensus published;  // earliest authority to publish
-  for (const torsim::Actor* actor : actors) {
-    const torproto::UnifiedOutcome outcome = protocol.ProbeOutcome(*actor);
-    if (!outcome.valid_consensus) {
+  for (const torproto::Authority* authority : authorities) {
+    const torproto::PublishedConsensus candidate = authority->published();
+    if (candidate.document == nullptr) {
       continue;
     }
     ++result.valid_count;
-    result.consensus_holders.push_back(actor->id());
-    result.consensus_relays = outcome.consensus_relays;
-    latency = std::max(latency, outcome.network_time_seconds);
-    finish = std::max(finish, outcome.finish_seconds);
-    const torproto::PublishedConsensus candidate = protocol.ProbeConsensus(*actor);
-    if (candidate.document != nullptr && candidate.published_at < published.published_at) {
+    result.consensus_holders.push_back(authority->id());
+    result.consensus_relays = candidate.document->relays.size();
+    latency = std::max(latency, authority->network_seconds());
+    finish = std::max(finish, torbase::ToSeconds(candidate.published_at));
+    if (candidate.published_at < published.published_at) {
       published = candidate;
     }
   }
@@ -596,7 +590,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   }
 
   if (spec.monitor_health) {
-    AnalyzeHealth(spec, protocol, actors, result);
+    AnalyzeHealth(spec, authorities, result);
   }
   ComputeFaultMetrics(spec, result);
   if (spec.client_load.client_count > 0) {
@@ -612,7 +606,7 @@ ScenarioResult ScenarioRunner::RunWithWorkload(const ScenarioSpec& spec, const W
   }
 
   if (inspect) {
-    inspect(harness, actors);
+    inspect(harness, std::vector<torsim::Actor*>(authorities.begin(), authorities.end()));
   }
   return result;
 }

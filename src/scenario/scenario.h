@@ -95,10 +95,10 @@ struct ScenarioSpec {
   // document across cells.
   std::shared_ptr<const tordir::ConsensusDocument> previous_consensus;
 
-  // Per-authority byzantine behaviors (empty = all honest). Implemented as a
-  // faulty-materials wrapper around the spec's protocol
-  // (torproto::ByzantineProtocol), so it composes with any registered
-  // protocol, any attack schedule, and churn.
+  // Per-authority byzantine behaviors (empty = all honest). The runner builds
+  // each named authority from torproto::MakeFaultyMaterials instead of its
+  // honest materials, so this composes with any registered protocol, any
+  // attack schedule, and churn.
   torproto::ByzantineSpec byzantine;
 
   // Retain a flat copy of the published document in

@@ -52,10 +52,10 @@ class MemoProbe : public DirectoryProtocol {
   std::string_view name() const override { return name_; }
   std::string_view display_name() const override { return name_; }
 
-  std::unique_ptr<torsim::Actor> MakeAuthority(const ProtocolRunConfig& config,
-                                               const torcrypto::KeyDirectory* directory,
-                                               torbase::NodeId id,
-                                               AuthorityMaterials materials) const override {
+  std::unique_ptr<Authority> MakeAuthority(const ProtocolRunConfig& config,
+                                           const torcrypto::KeyDirectory* directory,
+                                           torbase::NodeId id,
+                                           AuthorityMaterials materials) const override {
     switch (mode_) {
       case Mode::kShared:
         memo_ = materials.memo;
@@ -71,25 +71,6 @@ class MemoProbe : public DirectoryProtocol {
         break;
     }
     return inner().MakeAuthority(config, directory, id, std::move(materials));
-  }
-  UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    return inner().ProbeOutcome(actor);
-  }
-  PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    return inner().ProbeConsensus(actor);
-  }
-  AuthorityRoundState SnapshotAuthority(const torsim::Actor& actor) const override {
-    return inner().SnapshotAuthority(actor);
-  }
-  std::vector<ObservedVote> ProbeVoteObservations(const torsim::Actor& actor) const override {
-    return inner().ProbeVoteObservations(actor);
-  }
-  std::vector<RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return inner().ProbeVoteRejects(actor);
-  }
-  std::optional<std::pair<uint64_t, torbase::NodeId>> AgreementView(
-      const torsim::Actor& actor) const override {
-    return inner().AgreementView(actor);
   }
 
   // The memo the last run's authorities shared (kShared) or the fixed memo.

@@ -881,25 +881,11 @@ class RenamedIcps : public torproto::DirectoryProtocol {
  public:
   std::string_view name() const override { return "icps-alias"; }
   std::string_view display_name() const override { return "Ours (alias)"; }
-  std::unique_ptr<torsim::Actor> MakeAuthority(const torproto::ProtocolRunConfig& config,
-                                               const torcrypto::KeyDirectory* directory,
-                                               torbase::NodeId id,
-                                               torproto::AuthorityMaterials materials) const override {
+  std::unique_ptr<torproto::Authority> MakeAuthority(
+      const torproto::ProtocolRunConfig& config, const torcrypto::KeyDirectory* directory,
+      torbase::NodeId id, torproto::AuthorityMaterials materials) const override {
     return torproto::GetProtocol("icps").MakeAuthority(config, directory, id,
                                                        std::move(materials));
-  }
-  torproto::UnifiedOutcome ProbeOutcome(const torsim::Actor& actor) const override {
-    return torproto::GetProtocol("icps").ProbeOutcome(actor);
-  }
-  torproto::PublishedConsensus ProbeConsensus(const torsim::Actor& actor) const override {
-    return torproto::GetProtocol("icps").ProbeConsensus(actor);
-  }
-  std::vector<torproto::ObservedVote> ProbeVoteObservations(
-      const torsim::Actor& actor) const override {
-    return torproto::GetProtocol("icps").ProbeVoteObservations(actor);
-  }
-  std::vector<torproto::RejectedVote> ProbeVoteRejects(const torsim::Actor& actor) const override {
-    return torproto::GetProtocol("icps").ProbeVoteRejects(actor);
   }
 };
 
@@ -923,6 +909,33 @@ TEST(ProtocolRegistryTest, DownstreamRegistrationIsDispatchable) {
   ASSERT_FALSE(icps_result.health_alerts.empty());
   EXPECT_EQ(alias_result.health_alerts, icps_result.health_alerts);
   EXPECT_EQ(alias_result.faults_detected, 1u);
+
+  // A leader-chasing attacker sees the alias's agreement leader exactly as it
+  // sees the forwarded protocol's: the whole run, attack samples included,
+  // is the same.
+  torattack::AdaptiveLeaderConfig chase;
+  chase.victim_count = 1;
+  chase.period = torbase::Millis(500);
+  chase.start = 0;
+  chase.end = Minutes(10);
+  ScenarioSpec chased_alias = SmallSpec("icps-alias");
+  chased_alias.relay_count = 2000;
+  chased_alias.attack = std::make_shared<torattack::AdaptiveLeaderAttack>(chase);
+  ScenarioSpec chased_icps = chased_alias;
+  chased_icps.protocol = "icps";
+  const auto chased_alias_result = runner.Run(chased_alias);
+  const auto chased_icps_result = runner.Run(chased_icps);
+  const auto& alias_samples = chased_alias_result.attack_history;
+  const auto& icps_samples = chased_icps_result.attack_history;
+  ASSERT_FALSE(icps_samples.empty());
+  ASSERT_EQ(alias_samples.size(), icps_samples.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < icps_samples.size(); ++i) {
+    differing += alias_samples[i] != icps_samples[i] ? 1 : 0;
+  }
+  EXPECT_EQ(differing, 0u) << "of " << icps_samples.size() << " attack samples";
+  EXPECT_EQ(chased_alias_result.finish_time_seconds, chased_icps_result.finish_time_seconds);
+  EXPECT_TRUE(BitIdentical(chased_alias_result, chased_icps_result));
 }
 
 }  // namespace

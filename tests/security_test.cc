@@ -335,26 +335,27 @@ struct BodyWorkload {
   }
 
   torproto::AuthorityMaterials Honest(NodeId id) const {
-    return torproto::AuthorityMaterials{votes[id], bodies[id], cache, {}, nullptr, nullptr};
+    return torproto::AuthorityMaterials{votes[id], bodies[id], cache, {}, nullptr};
   }
   uint64_t period_start() const { return votes[0]->valid_after; }
 };
 
 // Runs `protocol` with authority `faulty` built from `faulty_materials` and
-// returns the actors once the round is over.
-std::vector<torsim::Actor*> RunWithFaulty(torsim::Harness& harness,
-                                          const torproto::DirectoryProtocol& protocol,
-                                          const torcrypto::KeyDirectory& directory,
-                                          const BodyWorkload& workload, NodeId faulty,
-                                          const torproto::AuthorityMaterials& faulty_materials) {
+// returns the authorities once the round is over.
+std::vector<torproto::Authority*> RunWithFaulty(
+    torsim::Harness& harness, const torproto::DirectoryProtocol& protocol,
+    const torcrypto::KeyDirectory& directory, const BodyWorkload& workload, NodeId faulty,
+    const torproto::AuthorityMaterials& faulty_materials) {
   torproto::ProtocolRunConfig run_config;
-  std::vector<torsim::Actor*> actors;
+  std::vector<torproto::Authority*> authorities;
   for (NodeId a = 0; a < 9; ++a) {
-    actors.push_back(harness.AddActor(protocol.MakeAuthority(
-        run_config, &directory, a, a == faulty ? faulty_materials : workload.Honest(a))));
+    std::unique_ptr<torproto::Authority> authority = protocol.MakeAuthority(
+        run_config, &directory, a, a == faulty ? faulty_materials : workload.Honest(a));
+    authorities.push_back(authority.get());
+    harness.AddActor(std::move(authority));
   }
   harness.RunUntil(torbase::Hours(1));
-  return actors;
+  return authorities;
 }
 
 torsim::NetworkConfig FastNetwork() {
@@ -392,12 +393,13 @@ TEST(SecurityTest, MalformedWireBodyIsRejectedAndAttributedAsBefore) {
   for (const char* name : {"current", "synchronous", "icps"}) {
     const torproto::DirectoryProtocol& protocol = torproto::GetProtocol(name);
     torsim::Harness harness(FastNetwork());
-    const auto actors = RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
+    const auto authorities =
+        RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
     for (NodeId a = 0; a < 9; ++a) {
       if (a == kFaulty) {
         continue;
       }
-      const auto rejects = protocol.ProbeVoteRejects(*actors[a]);
+      const auto& rejects = authorities[a]->rejected_votes();
       ASSERT_FALSE(rejects.empty()) << name << " authority " << a;
       for (const torproto::RejectedVote& reject : rejects) {
         EXPECT_EQ(reject.sender, kFaulty) << name << " authority " << a;
@@ -433,13 +435,13 @@ TEST(SecurityTest, EquivocationVariantIsADistinctBody) {
   const torcrypto::KeyDirectory directory(42, 9);
   const torproto::DirectoryProtocol& protocol = torproto::GetProtocol("current");
   torsim::Harness harness(FastNetwork());
-  const auto actors = RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
+  const auto authorities = RunWithFaulty(harness, protocol, directory, workload, kFaulty, faulty);
   for (NodeId a = 0; a < 9; ++a) {
     if (a == kFaulty) {
       continue;
     }
     bool observed = false;
-    for (const torproto::ObservedVote& vote : protocol.ProbeVoteObservations(*actors[a])) {
+    for (const torproto::ObservedVote& vote : authorities[a]->observed_votes()) {
       if (vote.sender == kFaulty) {
         observed = true;
         EXPECT_EQ(vote.digest, a % 2 == 1 ? variant.digest() : honest.digest())

@@ -1,8 +1,8 @@
 // Tests for the long-horizon timeline engine (src/scenario/timeline.h):
 // calendar -> per-round spec derivation, thread-count bit-identity of
 // RunTimeline, the golden 48-round recovery trace (who failed, who was fresh,
-// who rejoined at what cost), and the per-protocol snapshot/restore
-// round-trip that pins the AuthorityRoundState seam.
+// who rejoined at what cost), and, per protocol, the documents every round
+// boundary carries.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,12 +11,10 @@
 
 #include "src/attack/ddos.h"
 #include "src/attack/schedule.h"
-#include "src/crypto/signature.h"
-#include "src/protocols/directory_protocol.h"
+#include "src/crypto/sha256_tree.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/timeline.h"
 #include "src/tordir/dirspec.h"
-#include "src/tordir/generator.h"
 
 namespace torscenario {
 namespace {
@@ -238,58 +236,35 @@ TEST(TimelineTest, GoldenFortyEightRoundRecoveryTrace) {
   }
 }
 
-TEST(TimelineSnapshotTest, SnapshotRestoreRoundTripsPerProtocol) {
-  // The round-boundary seam, per registered protocol: snapshot an authority
-  // that assembled a consensus, hand the state to a fresh authority as its
-  // restore materials, snapshot again — the document must survive the
-  // round-trip byte-identically (with the restored marker set).
-  tordir::PopulationConfig pop_config;
-  pop_config.relay_count = 200;
-  pop_config.seed = 1;
-  const auto population = tordir::GeneratePopulation(pop_config);
-  const auto votes = tordir::MakeAllVotes(9, population, pop_config);
-
-  for (const std::string& name : torproto::RegisteredProtocolNames()) {
-    const torproto::DirectoryProtocol& protocol = torproto::GetProtocol(name);
-    ScenarioSpec spec;
-    spec.name = "snapshot";
-    spec.protocol = name;
-    spec.relay_count = 200;
-    spec.seed = 1;
-
-    std::vector<torproto::AuthorityRoundState> snapshots;
+TEST(TimelineSnapshotTest, BoundaryCarriesCanonicalTextAndTreeDigestPerProtocol) {
+  // Every round boundary that holds a document carries its canonical
+  // serialization and the sha256-tree-v1 digest of that text (the diff
+  // codec's framing digest) — through a published round, a failed round that
+  // carries the previous document forward, and recovery after it.
+  for (const char* name : {"current", "icps", "synchronous"}) {
+    TimelineSpec timeline = SmallTimeline();
+    timeline.base.protocol = name;
+    timeline.rounds = 4;
+    timeline.attacks.push_back(AttackCalendarEntry{1, 1, FiveMinuteDdos()});
     ScenarioRunner runner;
-    const ScenarioResult result = runner.Run(
-        spec, [&protocol, &snapshots](torsim::Harness&,
-                                      const std::vector<torsim::Actor*>& actors) {
-          for (const torsim::Actor* actor : actors) {
-            snapshots.push_back(protocol.SnapshotAuthority(*actor));
-          }
-        });
-    ASSERT_TRUE(result.succeeded) << name;
-    ASSERT_EQ(snapshots.size(), 9u) << name;
-    for (const torproto::AuthorityRoundState& state : snapshots) {
-      ASSERT_NE(state.consensus, nullptr) << name;
-      ASSERT_NE(state.consensus_text, nullptr) << name;
-      EXPECT_FALSE(state.restored) << name;
-      // The text is the canonical serialization of the snapshotted document.
-      EXPECT_EQ(*state.consensus_text, tordir::SerializeConsensus(*state.consensus)) << name;
+    const TimelineResult result = runner.RunTimeline(timeline);
+    ASSERT_EQ(result.snapshots.size(), 4u) << name;
+    size_t checked = 0;
+    for (const RoundSnapshot& snapshot : result.snapshots) {
+      if (snapshot.consensus == nullptr) {
+        continue;
+      }
+      ++checked;
+      ASSERT_NE(snapshot.consensus_text, nullptr) << name << " round " << snapshot.round;
+      EXPECT_EQ(*snapshot.consensus_text, tordir::SerializeConsensus(*snapshot.consensus))
+          << name << " round " << snapshot.round;
+      EXPECT_EQ(snapshot.consensus_digest,
+                torcrypto::Digest256(torcrypto::Sha256TreeDigest(*snapshot.consensus_text)))
+          << name << " round " << snapshot.round;
+      EXPECT_EQ(snapshot.consensus_digest, tordir::TreeSignedConsensusDigest(*snapshot.consensus))
+          << name << " round " << snapshot.round;
     }
-
-    // Restore: a fresh authority that never ran, constructed with round 0's
-    // snapshot as its carry-in state.
-    torcrypto::KeyDirectory directory(42, 9);
-    torproto::ProtocolRunConfig run_config;
-    torproto::AuthorityMaterials materials = torproto::AuthorityMaterials::Own(
-        votes[0], tordir::SerializeVote(votes[0]));
-    materials.round_state =
-        std::make_shared<const torproto::AuthorityRoundState>(snapshots[0]);
-    const std::unique_ptr<torsim::Actor> actor =
-        protocol.MakeAuthority(run_config, &directory, 0, std::move(materials));
-    const torproto::AuthorityRoundState restored = protocol.SnapshotAuthority(*actor);
-    ASSERT_NE(restored.consensus_text, nullptr) << name;
-    EXPECT_TRUE(restored.restored) << name;
-    EXPECT_EQ(*restored.consensus_text, *snapshots[0].consensus_text) << name;
+    EXPECT_EQ(checked, 4u) << name;
   }
 }
 
