@@ -6,6 +6,11 @@ namespace torcrypto {
 
 std::array<uint8_t, kSha256DigestSize> HmacSha256(std::span<const uint8_t> key,
                                                   std::span<const uint8_t> message) {
+  return HmacSha256(key, {message});
+}
+
+std::array<uint8_t, kSha256DigestSize> HmacSha256(
+    std::span<const uint8_t> key, std::initializer_list<std::span<const uint8_t>> message_parts) {
   uint8_t block_key[kSha256BlockSize];
   std::memset(block_key, 0, sizeof(block_key));
   if (key.size() > kSha256BlockSize) {
@@ -24,7 +29,9 @@ std::array<uint8_t, kSha256DigestSize> HmacSha256(std::span<const uint8_t> key,
 
   Sha256 inner;
   inner.Update(std::span<const uint8_t>(ipad, sizeof(ipad)));
-  inner.Update(message);
+  for (const std::span<const uint8_t> part : message_parts) {
+    inner.Update(part);
+  }
   const auto inner_digest = inner.Finish();
 
   Sha256 outer;

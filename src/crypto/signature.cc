@@ -9,18 +9,14 @@ namespace torcrypto {
 namespace {
 
 // Derives the two 32-byte halves of a signature with distinct domain tags so
-// the signature value is 64 bytes.
+// the signature value is 64 bytes. Each half is the HMAC of the tag byte
+// followed by the message.
 std::array<uint8_t, 64> MacHalves(const std::array<uint8_t, 32>& secret,
                                   std::span<const uint8_t> message) {
-  torbase::Writer tagged;
-  tagged.WriteU8(0x01);
-  tagged.WriteRaw(message);
-  const auto lo = HmacSha256(secret, tagged.buffer());
-
-  torbase::Writer tagged2;
-  tagged2.WriteU8(0x02);
-  tagged2.WriteRaw(message);
-  const auto hi = HmacSha256(secret, tagged2.buffer());
+  static constexpr uint8_t kLoTag[] = {0x01};
+  static constexpr uint8_t kHiTag[] = {0x02};
+  const auto lo = HmacSha256(secret, {kLoTag, message});
+  const auto hi = HmacSha256(secret, {kHiTag, message});
 
   std::array<uint8_t, 64> out;
   std::copy(lo.begin(), lo.end(), out.begin());

@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/serialize.h"
-#include "src/crypto/sha256.h"
 #include "src/tordir/dirspec.h"
 
 namespace torproto {
-
-torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
-                                      std::span<const torcrypto::Body> lists) {
-  torcrypto::Sha256 sha;
-  torbase::Writer prefix;
-  prefix.WriteU32(packer);
-  prefix.WriteU32(static_cast<uint32_t>(authors.size()));
-  sha.Update(prefix.buffer());
-  for (size_t i = 0; i < authors.size(); ++i) {
-    torbase::Writer frame;
-    frame.WriteU32(authors[i]);
-    frame.WriteU32(static_cast<uint32_t>(lists[i].size()));
-    sha.Update(frame.buffer());
-    sha.Update(lists[i].text());
-  }
-  return torcrypto::Digest256(sha.Finish());
-}
 
 const RoundMemo::Consensus& RoundMemo::Aggregate(std::vector<Vote> votes,
                                                  const tordir::AggregationParams& params) {
@@ -52,21 +33,6 @@ const RoundMemo::Consensus& RoundMemo::Aggregate(std::vector<Vote> votes,
         tordir::ComputeConsensus(vote_ptrs, params));
     const torcrypto::Digest256 digest = tordir::ConsensusDigest(*document);
     it = consensus_.emplace(std::move(key), Consensus{std::move(document), digest}).first;
-  }
-  return it->second;
-}
-
-const torcrypto::Digest256& RoundMemo::PackedDigest(uint32_t packer,
-                                                    std::span<const NodeId> authors,
-                                                    std::span<const torcrypto::Body> lists) {
-  PackedKey key{packer, {authors.begin(), authors.end()}, {}};
-  key.lists.reserve(lists.size());
-  for (const torcrypto::Body& list : lists) {
-    key.lists.push_back(list.digest());
-  }
-  auto it = packed_.find(key);
-  if (it == packed_.end()) {
-    it = packed_.emplace(std::move(key), PackedVoteDigest(packer, authors, lists)).first;
   }
   return it->second;
 }

@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,27 +25,18 @@
 
 namespace torproto {
 
-// The synchronous protocol's Dolev-Strong digest of a packed vote: SHA-256
-// streamed over its legacy flat serialization — u32 packer, u32 count, then
-// per list u32 author, u32 length and the list bytes — without materializing
-// it.
-torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
-                                      std::span<const torcrypto::Body> lists);
-
 // The round's content-keyed memo of the work every authority would otherwise
-// repeat on byte-identical inputs: the consensus of an admitted vote set and
-// the digest of a packed vote. Keys name inputs by body digests, which are
-// fixed when a body is made; byzantine mutants and equivocation variants are
-// distinct bodies, so equal keys mean byte-identical inputs and a hit returns
-// exactly what the caller would have computed. The memo sits strictly after
-// admission: authorities still admit every vote, sign their own digest and
-// verify every peer signature.
+// repeat on byte-identical inputs: the consensus of an admitted vote set. Keys
+// name votes by body digests, which are fixed when a body is made; byzantine
+// mutants and equivocation variants are distinct bodies, so equal keys mean
+// byte-identical inputs and a hit returns exactly what the caller would have
+// computed. The memo sits strictly after admission: authorities still admit
+// every vote, sign their own digest and verify every peer signature.
 //
 // One memo serves the authorities of one simulated run (one sweep cell) and
 // is freed with it. The simulation of a cell runs on one thread, so the memo
-// is unsynchronized; it never crosses cells. Each authority aggregates and
-// hashes a packed vote at most once per run, so the memo holds at most one
-// entry of each kind per authority.
+// is unsynchronized; it never crosses cells. Each authority aggregates at most
+// once per run, so the memo holds at most one entry per authority.
 class RoundMemo {
  public:
   // One admitted vote: the document and the digest of the body it was
@@ -64,12 +54,7 @@ class RoundMemo {
   // authority-id order), computed once per distinct (params, vote set).
   const Consensus& Aggregate(std::vector<Vote> votes, const tordir::AggregationParams& params);
 
-  // PackedVoteDigest, computed once per distinct (packer, authors, lists).
-  const torcrypto::Digest256& PackedDigest(uint32_t packer, std::span<const NodeId> authors,
-                                           std::span<const torcrypto::Body> lists);
-
   size_t consensus_entries() const { return consensus_.size(); }
-  size_t packed_entries() const { return packed_.size(); }
 
  private:
   struct ConsensusKey {
@@ -77,15 +62,8 @@ class RoundMemo {
     std::vector<torcrypto::Digest256> votes;  // in aggregation order
     auto operator<=>(const ConsensusKey&) const = default;
   };
-  struct PackedKey {
-    uint32_t packer = 0;
-    std::vector<NodeId> authors;
-    std::vector<torcrypto::Digest256> lists;
-    auto operator<=>(const PackedKey&) const = default;
-  };
 
   std::map<ConsensusKey, Consensus> consensus_;
-  std::map<PackedKey, torcrypto::Digest256> packed_;
 };
 
 // The immutable inputs an authority actor shares with its workload instead of

@@ -12,6 +12,19 @@ constexpr const char* kKindSig = "SYNC_SIG";
 
 }  // namespace
 
+torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
+                                      std::span<const torcrypto::Body> lists) {
+  torbase::Writer framed;
+  framed.WriteU32(packer);
+  framed.WriteU32(static_cast<uint32_t>(authors.size()));
+  for (size_t i = 0; i < authors.size(); ++i) {
+    framed.WriteU32(authors[i]);
+    framed.WriteU32(static_cast<uint32_t>(lists[i].size()));
+    framed.WriteRaw(lists[i].digest().span());
+  }
+  return torcrypto::Digest256::Of(framed.buffer());
+}
+
 SyncAuthority::SyncAuthority(const ProtocolConfig& config,
                              const torcrypto::KeyDirectory* directory,
                              AuthorityMaterials materials)
@@ -165,8 +178,8 @@ void SyncAuthority::HandlePackedVote(NodeId from, torbase::Reader& r) {
   }
 }
 
-const torcrypto::Digest256& SyncAuthority::DigestOf(const PackedVote& packed) {
-  return memo_->PackedDigest(packed.packer, packed.authors, packed.lists);
+torcrypto::Digest256 SyncAuthority::DigestOf(const PackedVote& packed) {
+  return PackedVoteDigest(packed.packer, packed.authors, packed.lists);
 }
 
 torbase::Bytes SyncAuthority::DsPayload(const torcrypto::Digest256& digest) const {

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,15 @@
 #include "src/tordir/vote.h"
 
 namespace torproto {
+
+// The Dolev-Strong digest of a packed vote: SHA-256 over u32 packer, u32
+// count, then per list u32 author, u32 byte length and the list body's
+// 32-byte digest. A body's digest is SHA-256 of exactly its bytes (fixed when
+// the body is made, src/crypto/body.h), so under collision resistance this
+// binds the lists' contents as tightly as hashing them would, at ~40 bytes of
+// hashing per list instead of the lists' megabytes.
+torcrypto::Digest256 PackedVoteDigest(uint32_t packer, std::span<const NodeId> authors,
+                                      std::span<const torcrypto::Body> lists);
 
 struct SyncOutcome {
   bool decided = false;           // Dolev-Strong produced a unique packed vote
@@ -108,10 +118,9 @@ class SyncAuthority : public Authority {
     std::vector<NodeId> authors;
     std::vector<torcrypto::Body> lists;
   };
-  // The packed vote's Dolev-Strong digest (PackedVoteDigest), through the
-  // round memo: the designated sender's packed vote, the only one any
-  // authority hashes, is hashed once per run, not once per authority.
-  const torcrypto::Digest256& DigestOf(const PackedVote& packed);
+  // The packed vote's Dolev-Strong digest (PackedVoteDigest). Only the
+  // designated sender's packed vote is ever digested.
+  static torcrypto::Digest256 DigestOf(const PackedVote& packed);
 
   ProtocolConfig config_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "src/common/stats.h"
 
@@ -89,8 +90,10 @@ InternedString PopularString(const std::vector<Listing>& listings,
       }
     }
   }
+  // Start from the first group and compare only the others against the
+  // leader: a comparator call parses both values, and cmp(x, x) == 0.
   const AggregateScratch::ValueGroup* best = &groups.front();
-  for (const auto& group : groups) {
+  for (const auto& group : std::span(groups).subspan(1)) {
     if (group.count > best->count ||
         (group.count == best->count && cmp(group.value.view(), best->value.view()) > 0)) {
       best = &group;

@@ -435,6 +435,21 @@ TEST_F(SignatureTest, SignVerifyRoundTrip) {
   EXPECT_TRUE(directory_.Verify(std::string("vote digest"), sig));
 }
 
+// Known answers: the 64 signature bytes for fixed (seed, node, message), so
+// any rewrite of how a signature is derived must keep its value.
+TEST_F(SignatureTest, KnownAnswer) {
+  const Signature sig = directory_.SignerFor(3).Sign(std::string("sync-ds known answer"));
+  EXPECT_EQ(sig.ToHex(),
+            "8b00fcbb01dbe0af783a8084e1f0bb1fe86b361af703b3b2b91872ae4ba03e23"
+            "32963f174f8adeeb3003803786beb57dfb797403478dc387e78addb8059cb3c6");
+  EXPECT_TRUE(directory_.Verify(std::string("sync-ds known answer"), sig));
+  const Signature empty = directory_.SignerFor(0).Sign(std::string());
+  EXPECT_EQ(empty.ToHex(),
+            "ce49aa7210a24f02ce0b3ff84a33e8ec3428b61ca20d65f6f99be7aa65718458"
+            "bde91eb6fdf82c09d660396464ed9c262dc20bd8854007ea40dbec75d2f8f0e0");
+  EXPECT_TRUE(directory_.Verify(std::string(), empty));
+}
+
 TEST_F(SignatureTest, RejectsTamperedMessage) {
   const Signature sig = directory_.SignerFor(0).Sign(std::string("original"));
   EXPECT_FALSE(directory_.Verify(std::string("tampered"), sig));

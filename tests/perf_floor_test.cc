@@ -1,6 +1,7 @@
 // Throughput floors for the hot paths under a round, at Tor scale (8k relays):
 // the vote codec, the consensus diff patch merge, the SHA-NI vote digest and
-// the multi-round timeline engine. The absolute floors sit 5-260x below what
+// the multi-round timeline engine; and the synchronous protocol's warm round
+// against the deployed protocol's. The absolute floors sit 5-260x below what
 // the code measures on a 4-vCPU x86 host and far above the slow designs it
 // replaced, so a structural regression (per-field temporaries, per-row
 // reparsing, a lost result memo) trips them on any hardware tier. The SHA-NI
@@ -53,6 +54,12 @@ constexpr double kMinPatchMergeMbps = 1024.0 * 1024.0 * 1024.0 / 1e6;  // 1 GiB/
 constexpr double kMinVoteDigestSpeedupOverScalar = 4.0;
 // ~4 rounds/s before the spec-digest result memo.
 constexpr double kMinTimelineRoundsPerSecond = 12.0;
+// A warm synchronous round at most this many times a warm current round. Both
+// aggregate once and exchange O(n^2) small messages; synchronous's n^2 packed
+// votes carry pointers and its Dolev-Strong digest hashes ~400 bytes. The
+// ratio measures ~1.0x, and ~3.5x when the digest streamed over the 28 MB of
+// packed lists, so any O(bytes) pass returning to the round trips it.
+constexpr double kMaxSynchronousOverCurrentRound = 2.0;
 
 using Clock = std::chrono::steady_clock;
 
@@ -224,6 +231,37 @@ TEST_F(PerfFloorTest, TimelineRoundsPerSecond) {
   std::printf("24-round fault-calendar timeline: %.1f rounds/s (floor %.1f)\n",
               rounds_per_second, kMinTimelineRoundsPerSecond);
   EXPECT_GE(rounds_per_second, kMinTimelineRoundsPerSecond);
+}
+
+TEST_F(PerfFloorTest, SynchronousRoundNearCurrentRound) {
+  torscenario::ScenarioSpec current;
+  current.name = "perf_round";
+  current.protocol = "current";
+  current.relay_count = kRelays;
+  current.horizon = torbase::Hours(2);
+  torscenario::ScenarioSpec synchronous = current;
+  synchronous.protocol = "synchronous";
+
+  // One runner with the result memo off: the workload is built once, and
+  // every Run simulates its round from the shared, warm workload.
+  torscenario::ScenarioRunner runner;
+  runner.set_memoize(false);
+  ASSERT_EQ(runner.Run(current).valid_count, 9u);  // warm-up
+  ASSERT_EQ(runner.Run(synchronous).valid_count, 9u);
+
+  // Interleaved samples, so drift on a shared host lands on both sides; the
+  // floor compares their medians.
+  constexpr int kSamples = 9;
+  std::vector<double> current_seconds;
+  std::vector<double> synchronous_seconds;
+  for (int i = 0; i < kSamples; ++i) {
+    current_seconds.push_back(SecondsPerCall(1, [&] { runner.Run(current); }));
+    synchronous_seconds.push_back(SecondsPerCall(1, [&] { runner.Run(synchronous); }));
+  }
+  const double ratio = Median(synchronous_seconds) / Median(current_seconds);
+  std::printf("warm synchronous round over warm current round, %zu relays: %.2fx (max %.1fx)\n",
+              kRelays, ratio, kMaxSynchronousOverCurrentRound);
+  EXPECT_LE(ratio, kMaxSynchronousOverCurrentRound);
 }
 
 }  // namespace

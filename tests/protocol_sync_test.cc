@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/attack/ddos.h"
+#include "src/common/serialize.h"
+#include "src/crypto/body.h"
 #include "src/protocols/common.h"
 #include "src/protocols/sync/sync_authority.h"
 #include "src/sim/actor.h"
@@ -145,6 +150,48 @@ TEST(SyncProtocolTest, LatencyProbesOrdered) {
     EXPECT_GE(outcome.finished_at, Seconds(450));
     EXPECT_LT(outcome.finished_at, Seconds(600));
   }
+}
+
+// The Dolev-Strong digest commits to each list by its body digest: SHA-256
+// over u32 packer, u32 count, then per list u32 author, u32 length and the
+// 32-byte list digest. Every part of a packed vote moves it.
+TEST(PackedVoteDigestTest, CommitsToAuthorLengthAndListDigest) {
+  const std::vector<NodeId> authors = {0, 2, 7};
+  const std::vector<torcrypto::Body> lists = {torcrypto::Body(std::string(100, 'a')),
+                                              torcrypto::Body(std::string()),
+                                              torcrypto::Body(std::string(70000, 'c'))};
+  torbase::Writer framed;
+  framed.WriteU32(4);  // packer
+  framed.WriteU32(static_cast<uint32_t>(authors.size()));
+  for (size_t i = 0; i < authors.size(); ++i) {
+    framed.WriteU32(authors[i]);
+    framed.WriteU32(static_cast<uint32_t>(lists[i].size()));
+    framed.WriteRaw(torcrypto::Digest256::Of(lists[i].text()).span());
+  }
+  const torcrypto::Digest256 digest = PackedVoteDigest(4, authors, lists);
+  EXPECT_EQ(digest, torcrypto::Digest256::Of(framed.buffer()));
+
+  // One byte of any non-empty list.
+  for (const size_t i : {size_t{0}, size_t{2}}) {
+    std::string text = lists[i].text();
+    text[text.size() / 2] ^= 0x01;
+    std::vector<torcrypto::Body> mutated = lists;
+    mutated[i] = torcrypto::Body(std::move(text));
+    EXPECT_NE(PackedVoteDigest(4, authors, mutated), digest) << "list " << i;
+  }
+  // The packer.
+  EXPECT_NE(PackedVoteDigest(5, authors, lists), digest);
+  // An author tag.
+  const std::vector<NodeId> retagged = {0, 2, 8};
+  EXPECT_NE(PackedVoteDigest(4, retagged, lists), digest);
+  // The list order, authors and lists moving together.
+  const std::vector<NodeId> reversed_authors(authors.rbegin(), authors.rend());
+  const std::vector<torcrypto::Body> reversed_lists(lists.rbegin(), lists.rend());
+  EXPECT_NE(PackedVoteDigest(4, reversed_authors, reversed_lists), digest);
+  // The empty list replaced by a one-byte list.
+  std::vector<torcrypto::Body> grown = lists;
+  grown[1] = torcrypto::Body(std::string("x"));
+  EXPECT_NE(PackedVoteDigest(4, authors, grown), digest);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the round memo (torproto::RoundMemo, src/protocols/authority.h):
 // the content-keyed cache through which the authorities of one run share
-// each distinct vote set's consensus and each packed vote's digest.
+// each distinct vote set's consensus.
 //
 // The memo must be invisible in results: a run whose authorities share one
 // memo is bit-identical to the same run with a private memo per authority,
@@ -152,7 +152,6 @@ TEST(RoundMemoTest, CleanRoundAggregatesOncePerRun) {
     const ScenarioResult result = RunAs(runner, Cell(protocol, false), probe);
     ASSERT_EQ(result.valid_count, 9u) << protocol;
     EXPECT_EQ(probe.memo().consensus_entries(), 1u) << protocol;
-    EXPECT_EQ(probe.memo().packed_entries(), protocol == "synchronous" ? 1u : 0u) << protocol;
   }
 }
 
@@ -184,7 +183,6 @@ TEST(RoundMemoTest, FaultyBodiesGetTheirOwnEntries) {
     // clean set, the odd peers the variant's set. Inflation: every authority
     // holds the inflated vote.
     EXPECT_EQ(fixed.memo().consensus_entries(), 2u);
-    EXPECT_EQ(fixed.memo().packed_entries(), 0u);
   }
 }
 
@@ -236,27 +234,6 @@ TEST(RoundMemoTest, ShuffledVoteOrderHitsTheSameEntry) {
   fixed_threshold.fixed_inclusion_threshold = 3;
   EXPECT_NE(&memo.Aggregate(votes, fixed_threshold), &first);
   EXPECT_EQ(memo.consensus_entries(), 4u);
-}
-
-TEST(RoundMemoTest, PackedDigestIsThePackedVoteDigest) {
-  const std::vector<torbase::NodeId> authors = {0, 2, 7};
-  const std::vector<torcrypto::Body> lists = {torcrypto::Body(std::string(100, 'a')),
-                                              torcrypto::Body(std::string()),
-                                              torcrypto::Body(std::string(70000, 'c'))};
-  RoundMemo memo;
-  const torcrypto::Digest256& digest = memo.PackedDigest(4, authors, lists);
-  EXPECT_EQ(digest, PackedVoteDigest(4, authors, lists));
-  EXPECT_EQ(&memo.PackedDigest(4, authors, lists), &digest);
-  EXPECT_EQ(memo.packed_entries(), 1u);
-
-  // Packer, author tags and list bytes are all part of the key.
-  EXPECT_EQ(memo.PackedDigest(5, authors, lists), PackedVoteDigest(5, authors, lists));
-  const std::vector<torbase::NodeId> retagged = {0, 2, 8};
-  EXPECT_EQ(memo.PackedDigest(4, retagged, lists), PackedVoteDigest(4, retagged, lists));
-  std::vector<torcrypto::Body> mutated = lists;
-  mutated[1] = torcrypto::Body(std::string("x"));
-  EXPECT_EQ(memo.PackedDigest(4, authors, mutated), PackedVoteDigest(4, authors, mutated));
-  EXPECT_EQ(memo.packed_entries(), 4u);
 }
 
 }  // namespace

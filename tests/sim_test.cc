@@ -10,7 +10,6 @@
 #include "src/common/serialize.h"
 #include "src/common/time.h"
 #include "src/crypto/body.h"
-#include "src/protocols/authority.h"
 #include "src/sim/actor.h"
 #include "src/sim/bandwidth.h"
 #include "src/sim/network.h"
@@ -576,25 +575,6 @@ TEST(NetworkTest, BroadcastSharesOneBodyAcrossReceivers) {
     EXPECT_EQ(texts[i], vote.shared_text().get()) << "receiver " << i + 1;
   }
   EXPECT_EQ(net.bytes_by_kind().at("VOTE"), (kNodes - 1) * (1 + 4 + 4096 + 64));
-}
-
-TEST(MessageBodyTest, StreamedPackedVoteDigestMatchesLegacySerialization) {
-  const std::vector<NodeId> authors = {0, 2, 7};
-  const std::vector<torcrypto::Body> lists = {torcrypto::Body(std::string(100, 'a')),
-                                              torcrypto::Body(std::string()),
-                                              torcrypto::Body(std::string(70000, 'c'))};
-  // The flat packed_text the synchronous protocol used to build and hash.
-  torbase::Writer packed;
-  packed.WriteU32(4);  // packer
-  packed.WriteU32(static_cast<uint32_t>(authors.size()));
-  for (size_t i = 0; i < authors.size(); ++i) {
-    packed.WriteU32(authors[i]);
-    packed.WriteString(lists[i].text());
-  }
-  EXPECT_EQ(torproto::PackedVoteDigest(4, authors, lists),
-            torcrypto::Digest256::Of(packed.buffer()));
-  EXPECT_NE(torproto::PackedVoteDigest(5, authors, lists),
-            torcrypto::Digest256::Of(packed.buffer()));
 }
 
 // A ping-pong actor pair exercising the harness wiring.
